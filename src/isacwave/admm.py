@@ -34,6 +34,7 @@ unscaled, a change of rho needs no dual rescaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,10 @@ _RHO_CHECK_EVERY = 100
 _RHO_STALL_FLOOR = 1e-4
 _RHO_MAX = 20.0
 
+# relative slack of every PAPR-cap comparison against its range edges;
+# it absorbs the roundoff of the dB conversion and of a computed PAPR
+_ETA_SLACK = 1e-9
+
 
 class SingularChannelError(ValueError):
     """Channel rows are linearly dependent; no interference-free target."""
@@ -74,11 +79,12 @@ class ProblemSpec:
     """One waveform-design instance plus solver controls.
 
     epsilon = 0 pins the design to the reference block exactly; it is
-    accepted only when the reference itself satisfies the PAPR cap.
-    eta is linear and can never be active below 1 (PAPR >= 1 always) or
-    above N*L (the maximum PAPR of a unit-energy block).  rho is the
-    initial penalty weight; rho_schedule (one of RHO_SCHEDULES) says
-    whether it stays fixed or adapts to stalling residuals.
+    accepted only when the reference itself satisfies the PAPR cap, up
+    to the relative roundoff slack of :func:`papr_cap`.  eta is linear
+    and can never be active below 1 (PAPR >= 1 always) or above N*L
+    (the maximum PAPR of a unit-energy block).  rho is the initial
+    penalty weight; rho_schedule (one of RHO_SCHEDULES) says whether it
+    stays fixed or adapts to stalling residuals.
     """
 
     channel: ChannelRealization
@@ -121,7 +127,8 @@ class ProblemSpec:
             raise ValueError("max_iterations must be >= 1")
         if not self.feasibility_tolerance > 0:
             raise ValueError("feasibility_tolerance must be > 0")
-        if self.epsilon == 0 and kpi.papr(self.reference.vec) > self.eta:
+        if (self.epsilon == 0 and kpi.papr(self.reference.vec)
+                > self.eta * (1.0 + _ETA_SLACK)):
             raise ValueError(
                 "epsilon = 0 pins the design to the reference, "
                 "but the reference violates the PAPR cap"
@@ -131,6 +138,26 @@ class ProblemSpec:
     def n_total(self) -> int:
         """Samples per block, N*L."""
         return self.reference.n_antennas * self.reference.n_samples
+
+
+def papr_cap(eta_db: float, n_total: int) -> float:
+    """Linear PAPR cap of an eta given in dB, for an N*L-sample block.
+
+    A cap outside [1, N*L] by more than a relative 1e-9 is rejected;
+    one within that slack is clamped onto the range, so the result is
+    always a valid ProblemSpec.eta.
+    """
+    try:
+        eta = 10.0 ** (eta_db / 10.0)
+    except OverflowError:
+        eta = math.inf
+    if not 1.0 - _ETA_SLACK <= eta <= n_total * (1.0 + _ETA_SLACK):
+        raise ValueError(
+            f"PAPR cap eta = {eta:g} ({eta_db:g} dB) must lie in "
+            f"[1, N*L] = [1, {n_total}], i.e. "
+            f"[0 dB, {10.0 * math.log10(n_total):.2f} dB]"
+        )
+    return min(max(eta, 1.0), float(n_total))
 
 
 @dataclass

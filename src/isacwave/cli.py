@@ -18,9 +18,11 @@ section.field=value flags, then --seed.  Unknown keys anywhere are
 rejected with the offending path.  The PAPR cap is given as exactly one
 of "eta" (linear) or "eta_db".
 
-Exit codes: 0 success; 1 bad config or arguments; 2 design finished but
-violates a constraint beyond tolerance; 3 channel too ill-conditioned
-to define the communication target.  Anything else is a bug and raises.
+Exit codes: 0 success; 1 bad config or arguments, including a resolved
+config that a library constructor or driver rejects with ValueError; 2
+design finished but violates a constraint beyond tolerance; 3 channel
+too ill-conditioned to define the communication target, in a design or
+in any trial of a sweep.  Anything else is a bug and raises.
 """
 
 from __future__ import annotations
@@ -38,21 +40,16 @@ import time
 import numpy as np
 
 from . import __version__, kpi
-from .admm import ProblemSpec, SingularChannelError, solve, zero_forcing_target
+from .admm import ProblemSpec, SingularChannelError, papr_cap, solve
 from .montecarlo import (
     SNR_CONVENTIONS,
     ExperimentConfig,
+    draw_instance,
     run_ccdf,
     run_ser,
     run_sumrate,
 )
-from .signal_model import (
-    ArrayConfig,
-    ChannelRealization,
-    chirp_reference,
-    draw_channel,
-    draw_symbols,
-)
+from .signal_model import chirp_reference
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -247,15 +244,6 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
-def serialize_config(config: dict) -> str:
-    """Canonical form; parse(serialize(c)) == c."""
-    return json.dumps(config, sort_keys=True, indent=2) + "\n"
-
-
-def parse_config(text: str) -> dict:
-    return json.loads(text)
-
-
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -305,43 +293,22 @@ def _write_manifest(out_dir: str, command: str, config: dict, seed,
     return path
 
 
-def _design_instance(cfg: dict):
-    channel = draw_channel(
-        cfg["k_users"],
-        ArrayConfig(n_antennas=cfg["n_antennas"]),
-        noise_variance=10.0 ** (-cfg["snr_db"] / 10.0),
-        rng_seed=cfg["channel_seed"],
-    )
-    symbols = draw_symbols(cfg["k_users"], cfg["n_samples"],
-                           cfg["constellation"], rng_seed=cfg["symbol_seed"])
-    if cfg["snr_convention"] == "zf-normalized":
-        scale = float(np.linalg.norm(zero_forcing_target(channel, symbols)))
-        channel = ChannelRealization(matrix=channel.matrix * scale,
-                                     noise_variance=channel.noise_variance)
-    return channel, symbols
-
-
 def cmd_design(cfg: dict, out_dir: str):
     [eta_db] = _eta_db_list(cfg, "design")
-    eta = 10.0 ** (eta_db / 10.0)
-    n_total = float(cfg["n_antennas"] * cfg["n_samples"])
-    if not (1.0 - 1e-9) <= eta <= n_total * (1.0 + 1e-9):
-        raise ConfigError("design.eta",
-                          f"PAPR cap must lie in [1, {n_total:g}]")
-    # clamp only float roundoff from the dB conversion
-    eta = min(max(eta, 1.0), n_total)
-    channel, symbols = _design_instance(cfg)
+    eta = papr_cap(eta_db, cfg["n_antennas"] * cfg["n_samples"])
+    channel, symbols = draw_instance(
+        cfg["n_antennas"], cfg["k_users"], cfg["n_samples"],
+        cfg["constellation"], cfg["snr_convention"], cfg["channel_seed"],
+        cfg["symbol_seed"], 10.0 ** (-cfg["snr_db"] / 10.0),
+    )
     reference = chirp_reference(cfg["n_antennas"], cfg["n_samples"])
-    try:
-        spec = ProblemSpec(
-            channel=channel, symbols=symbols, reference=reference,
-            epsilon=cfg["epsilon"], eta=eta, rho=cfg["rho"],
-            max_iterations=cfg["m_iter"],
-            feasibility_tolerance=cfg["feasibility_tolerance"],
-            early_stop=cfg["early_stop"],
-        )
-    except ValueError as exc:
-        raise ConfigError("design", str(exc))
+    spec = ProblemSpec(
+        channel=channel, symbols=symbols, reference=reference,
+        epsilon=cfg["epsilon"], eta=eta, rho=cfg["rho"],
+        max_iterations=cfg["m_iter"],
+        feasibility_tolerance=cfg["feasibility_tolerance"],
+        early_stop=cfg["early_stop"],
+    )
     result = solve(spec)
 
     entries = result.waveform.entries
@@ -370,23 +337,20 @@ def cmd_design(cfg: dict, out_dir: str):
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(
-            n_antennas=cfg["n_antennas"],
-            k_users=cfg["k_users"],
-            n_samples=cfg["n_samples"],
-            rho_grid=tuple(cfg["rho"]),
-            eta_grid_db=tuple(_eta_db_list(cfg, "experiment")),
-            epsilon_grid=tuple(cfg["epsilon"]),
-            snr_grid_db=tuple(cfg["snr_db"]),
-            n_trials=cfg["n_trials"],
-            base_seed=cfg["base_seed"],
-            constellation=cfg["constellation"],
-            m_iter=cfg["m_iter"],
-            snr_convention=cfg["snr_convention"],
-        )
-    except ValueError as exc:
-        raise ConfigError("experiment", str(exc))
+    return ExperimentConfig(
+        n_antennas=cfg["n_antennas"],
+        k_users=cfg["k_users"],
+        n_samples=cfg["n_samples"],
+        rho_grid=tuple(cfg["rho"]),
+        eta_grid_db=tuple(_eta_db_list(cfg, "experiment")),
+        epsilon_grid=tuple(cfg["epsilon"]),
+        snr_grid_db=tuple(cfg["snr_db"]),
+        n_trials=cfg["n_trials"],
+        base_seed=cfg["base_seed"],
+        constellation=cfg["constellation"],
+        m_iter=cfg["m_iter"],
+        snr_convention=cfg["snr_convention"],
+    )
 
 
 _RUNNERS = {"ccdf": run_ccdf, "sumrate": run_sumrate, "ser": run_ser}
@@ -440,6 +404,7 @@ def _env_int(name: str):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     started = time.time()
+    section = "design" if args.command == "design" else "experiment"
     try:
         if not args.config:
             raise ConfigError("--config", "a config file is required")
@@ -454,7 +419,6 @@ def main(argv=None) -> int:
         _apply_env(config, os.environ)
         _apply_sets(config, args.assignments)
 
-        section = "design" if args.command == "design" else "experiment"
         if seed is not None:
             if section == "experiment":
                 _section_dict(config, "experiment")["base_seed"] = seed
@@ -477,12 +441,16 @@ def main(argv=None) -> int:
         _write_manifest(args.out, args.command, {section: resolved},
                         run_seed, time.time() - started, outputs)
         return code
-    except ConfigError as exc:
-        print(f"isacwave: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     except SingularChannelError as exc:
         print(f"isacwave: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except ValueError as exc:
+        # a ConfigError, or a library precondition that the resolved
+        # section fails (ProblemSpec, ExperimentConfig, a draw, a driver)
+        if not isinstance(exc, ConfigError):
+            exc = ConfigError(section, str(exc))
+        print(f"isacwave: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

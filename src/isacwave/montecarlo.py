@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, kpi
-from .admm import ProblemSpec, solve, zero_forcing_target
+from .admm import ProblemSpec, papr_cap, solve, zero_forcing_target
 from .signal_model import (
     ArrayConfig,
     ChannelRealization,
@@ -104,13 +104,8 @@ class ExperimentConfig:
             raise ValueError("rho_grid entries must be > 0")
         if any(e < 0 for e in self.epsilon_grid):
             raise ValueError("epsilon_grid entries must be >= 0")
-        n_total = self.n_antennas * self.n_samples
         for eta_db in self.eta_grid_db:
-            if not (0.0 <= eta_db <= 10.0 * math.log10(n_total) + 1e-9):
-                raise ValueError(
-                    f"eta {eta_db} dB is outside the meaningful PAPR range "
-                    f"[0 dB, {10.0 * math.log10(n_total):.2f} dB]"
-                )
+            papr_cap(eta_db, self.n_antennas * self.n_samples)
         constellation_points(self.constellation)  # rejects unknown names
         if self.snr_convention not in SNR_CONVENTIONS:
             raise ValueError(
@@ -170,38 +165,36 @@ def _noise_rng(cfg: ExperimentConfig, trial: int, *extra):
     )
 
 
-def _eta_linear(cfg: ExperimentConfig, eta_db: float) -> float:
-    """dB-to-linear cap conversion, squeezing out float noise at the ends."""
-    return min(max(10.0 ** (eta_db / 10.0), 1.0),
-               float(cfg.n_antennas * cfg.n_samples))
-
-
-def _trial_instance(cfg: ExperimentConfig, trial: int):
-    """Draw the (channel, symbols) pair of one trial.
+def draw_instance(n_antennas: int, k_users: int, n_samples: int,
+                  constellation: str, snr_convention: str, channel_seed: int,
+                  symbol_seed: int, noise_variance: float):
+    """Draw one (channel, symbols) design instance from two seeds.
 
     Under the zf-normalized convention the channel is rescaled so the
     zero-forcing block has unit energy; the rescale factor is determined
     by the draw itself, keeping the stream layout identical across
     conventions.
     """
-    channel = draw_channel(
-        cfg.k_users,
-        ArrayConfig(n_antennas=cfg.n_antennas),
-        noise_variance=1.0,
-        rng_seed=_stream_seed(cfg.base_seed, trial, _PURPOSE_CHANNEL),
-    )
-    symbols = draw_symbols(
-        cfg.k_users,
-        cfg.n_samples,
-        cfg.constellation,
-        rng_seed=_stream_seed(cfg.base_seed, trial, _PURPOSE_SYMBOLS),
-    )
-    if cfg.snr_convention == "zf-normalized":
+    channel = draw_channel(k_users, ArrayConfig(n_antennas=n_antennas),
+                           noise_variance=noise_variance,
+                           rng_seed=channel_seed)
+    symbols = draw_symbols(k_users, n_samples, constellation,
+                           rng_seed=symbol_seed)
+    if snr_convention == "zf-normalized":
         scale = float(np.linalg.norm(zero_forcing_target(channel, symbols)))
-        channel = ChannelRealization(
-            matrix=channel.matrix * scale, noise_variance=1.0
-        )
+        channel = ChannelRealization(matrix=channel.matrix * scale,
+                                     noise_variance=noise_variance)
     return channel, symbols
+
+
+def _trial_instance(cfg: ExperimentConfig, trial: int):
+    """The instance of one trial, on the unit-noise trial streams."""
+    return draw_instance(
+        cfg.n_antennas, cfg.k_users, cfg.n_samples, cfg.constellation,
+        cfg.snr_convention,
+        _stream_seed(cfg.base_seed, trial, _PURPOSE_CHANNEL),
+        _stream_seed(cfg.base_seed, trial, _PURPOSE_SYMBOLS), 1.0,
+    )
 
 
 def _solve_trial(cfg: ExperimentConfig, trial: int, epsilon: float,
@@ -219,10 +212,7 @@ def _solve_trial(cfg: ExperimentConfig, trial: int, epsilon: float,
         # when each rho_grid entry stays the weight of the whole solve
         rho_schedule="fixed",
     )
-    try:
-        return channel, symbols, solve(spec)
-    except Exception as exc:
-        raise RuntimeError(f"trial {trial} failed: {exc}") from exc
+    return channel, symbols, solve(spec)
 
 
 def _map_trials(fn, trials, threads: int) -> list:
@@ -241,19 +231,11 @@ def detect_qpsk(received, constellation="qpsk") -> np.ndarray:
     return np.argmin(np.abs(y[..., None] - points), axis=-1)
 
 
-def _count_errors(received: np.ndarray, sent: np.ndarray,
-                  constellation: str) -> int:
-    detected = detect_qpsk(received, constellation)
-    transmitted = detect_qpsk(sent, constellation)
-    return int(np.sum(detected != transmitted))
-
-
 # --- experiment 1: PAPR CCDF over (rho, eta) --------------------------------
 
-def _ccdf_trial(cfg: ExperimentConfig, epsilon: float, eta_db: float,
+def _ccdf_trial(cfg: ExperimentConfig, epsilon: float, eta: float,
                 rho: float, trial: int) -> float:
-    _, _, result = _solve_trial(cfg, trial, epsilon,
-                                _eta_linear(cfg, eta_db), rho)
+    _, _, result = _solve_trial(cfg, trial, epsilon, eta, rho)
     return kpi.papr_db(result.waveform.vec)
 
 
@@ -266,7 +248,8 @@ def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     series = {}
     for rho in cfg.rho_grid:
         for eta_db in cfg.eta_grid_db:
-            fn = partial(_ccdf_trial, cfg, epsilon, eta_db, rho)
+            eta = papr_cap(eta_db, cfg.n_antennas * cfg.n_samples)
+            fn = partial(_ccdf_trial, cfg, epsilon, eta, rho)
             samples = np.array(_map_trials(fn, range(cfg.n_trials), threads))
             label = f"rho={rho:g},eta={eta_db:g}dB"
             series[label] = kpi.ccdf(samples, _GAMMA_GRID_DB)
@@ -286,10 +269,9 @@ def _rate_from_block(channel, x, symbols, noise_variance: float) -> float:
     return float(np.mean(np.log2(1.0 + sinr)))
 
 
-def _sumrate_trial(cfg: ExperimentConfig, epsilon: float, eta_db: float,
+def _sumrate_trial(cfg: ExperimentConfig, epsilon: float, eta: float,
                    rho: float, noise_variance: float, trial: int) -> float:
-    channel, symbols, result = _solve_trial(cfg, trial, epsilon,
-                                            _eta_linear(cfg, eta_db), rho)
+    channel, symbols, result = _solve_trial(cfg, trial, epsilon, eta, rho)
     return _rate_from_block(channel, result.waveform.vec, symbols,
                             noise_variance)
 
@@ -329,10 +311,11 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     series = {}
     sems = {}
     for eta_db in cfg.eta_grid_db:
+        eta = papr_cap(eta_db, cfg.n_antennas * cfg.n_samples)
         rates = np.empty(axis.size)
         errs = np.empty(axis.size)
         for j, epsilon in enumerate(axis):
-            fn = partial(_sumrate_trial, cfg, float(epsilon), eta_db, rho,
+            fn = partial(_sumrate_trial, cfg, float(epsilon), eta, rho,
                          noise_variance)
             per_trial = _map_trials(fn, trials, threads)
             rates[j] = np.mean(per_trial)
@@ -358,19 +341,33 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
 
 # --- experiment 3: SER over SNR with zero-MUI baseline ----------------------
 
+def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple, trial: int,
+                received_clean: np.ndarray, sent: np.ndarray,
+                series: int) -> np.ndarray:
+    """Symbol errors of one trial's block at every SNR point.
+
+    Point p adds noise from its own stream (trial, p, series) to the
+    noiseless received block and counts detections that differ from the
+    detected sent symbols.
+    """
+    transmitted = detect_qpsk(sent, cfg.constellation)
+    counts = np.empty(len(sigma2s), dtype=np.int64)
+    for p, sigma2 in enumerate(sigma2s):
+        rng = _noise_rng(cfg, trial, p, series)
+        noise = (rng.standard_normal(sent.shape)
+                 + 1j * rng.standard_normal(sent.shape))
+        noise *= math.sqrt(sigma2 / 2.0)
+        detected = detect_qpsk(received_clean + noise, cfg.constellation)
+        counts[p] = np.count_nonzero(detected != transmitted)
+    return counts
+
+
 def _ser_designed_trial(cfg: ExperimentConfig, epsilon: float, eta: float,
                         rho: float, sigma2s: tuple, trial: int) -> np.ndarray:
     channel, symbols, result = _solve_trial(cfg, trial, epsilon, eta, rho)
-    received_clean = channel.matrix @ result.waveform.entries
-    counts = np.empty(len(sigma2s), dtype=np.int64)
-    for p, sigma2 in enumerate(sigma2s):
-        rng = _noise_rng(cfg, trial, p, _SERIES_DESIGNED)
-        noise = (rng.standard_normal(symbols.symbols.shape)
-                 + 1j * rng.standard_normal(symbols.symbols.shape))
-        noise *= math.sqrt(sigma2 / 2.0)
-        counts[p] = _count_errors(received_clean + noise, symbols.symbols,
-                                  cfg.constellation)
-    return counts
+    return _ser_counts(cfg, sigma2s, trial,
+                       channel.matrix @ result.waveform.entries,
+                       symbols.symbols, _SERIES_DESIGNED)
 
 
 def _ser_zero_mui_trial(cfg: ExperimentConfig, sigma2s: tuple,
@@ -382,16 +379,9 @@ def _ser_zero_mui_trial(cfg: ExperimentConfig, sigma2s: tuple,
         cfg.n_samples,
         cfg.constellation,
         rng_seed=_stream_seed(cfg.base_seed, trial, _PURPOSE_SYMBOLS),
-    )
-    counts = np.empty(len(sigma2s), dtype=np.int64)
-    for p, sigma2 in enumerate(sigma2s):
-        rng = _noise_rng(cfg, trial, p, _SERIES_ZERO_MUI)
-        noise = (rng.standard_normal(symbols.symbols.shape)
-                 + 1j * rng.standard_normal(symbols.symbols.shape))
-        noise *= math.sqrt(sigma2 / 2.0)
-        counts[p] = _count_errors(symbols.symbols + noise, symbols.symbols,
-                                  cfg.constellation)
-    return counts
+    ).symbols
+    return _ser_counts(cfg, sigma2s, trial, symbols, symbols,
+                       _SERIES_ZERO_MUI)
 
 
 def _accumulate_ser(trial_fn, n_points: int, symbols_per_trial: int,
@@ -443,7 +433,7 @@ def run_ser(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     n_points = len(sigma2s)
     per_trial = cfg.k_users * cfg.n_samples
     epsilon = cfg.epsilon_grid[0]
-    eta = _eta_linear(cfg, cfg.eta_grid_db[0])
+    eta = papr_cap(cfg.eta_grid_db[0], cfg.n_antennas * cfg.n_samples)
     rho = cfg.rho_grid[0]
 
     designed = _accumulate_ser(

@@ -185,31 +185,13 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class ReferenceWaveform:
+class ReferenceWaveform(Waveform):
     """Radar reference block x0 with unit total energy ||X0||_F = 1."""
 
-    entries: np.ndarray
-
     def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=complex)
-        if e.ndim != 2:
-            raise ValueError("reference entries must be 2-D (antennas x samples)")
-        norm = np.linalg.norm(e)
-        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
+        super().__post_init__()
+        if abs(np.linalg.norm(self.entries) - 1.0) > 1e-9:
             raise ValueError("reference block must have unit Frobenius norm")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def n_antennas(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def vec(self) -> np.ndarray:
-        return vec(self.entries)
 
     @property
     def lifted(self) -> np.ndarray:

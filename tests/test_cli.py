@@ -1,13 +1,23 @@
 """CLI contract tests: config resolution, exit codes, output files."""
 
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isacwave import cli
-from isacwave.signal_model import ChannelRealization, chirp_reference
+from isacwave import cli, kpi, montecarlo
+from isacwave.admm import ProblemSpec, papr_cap
+from isacwave.signal_model import (
+    ArrayConfig,
+    ChannelRealization,
+    chirp_reference,
+    draw_channel,
+    draw_symbols,
+)
 
 
 def _design_config(**overrides):
@@ -41,6 +51,11 @@ def _run(tmp_path, command, config, *extra):
     out = str(tmp_path / "out")
     code = cli.main([command, "--config", path, "--out", out, *extra])
     return code, out
+
+
+def _rank_deficient(k_users, cfg, noise_variance, rng_seed):
+    row = np.ones((1, cfg.n_antennas), dtype=complex)
+    return ChannelRealization(np.vstack([row] * k_users), noise_variance)
 
 
 class TestConfigValidation:
@@ -106,9 +121,30 @@ class TestConfigValidation:
         code, _ = _run(tmp_path, "design", _design_config(eta=0.5))
         assert code == cli.EXIT_BAD_CONFIG
 
-    def test_round_trip_identity(self):
-        config = _experiment_config()
-        assert cli.parse_config(cli.serialize_config(config)) == config
+    @pytest.mark.parametrize("command,config,expected", [
+        ("design", _design_config(constellation="8psk"), cli.EXIT_BAD_CONFIG),
+        ("design", _design_config(snr_convention="zf-normalized", k_users=5),
+         cli.EXIT_BAD_CONFIG),
+        ("design", _design_config(eta=None, eta_db=1e4), cli.EXIT_BAD_CONFIG),
+        ("ser", _experiment_config(constellation="16qam"),
+         cli.EXIT_BAD_CONFIG),
+        ("sumrate", _experiment_config(snr_db=[0.0, 10.0]),
+         cli.EXIT_BAD_CONFIG),
+        # every trial of this sweep draws a rank-deficient channel
+        ("ccdf", _experiment_config(snr_convention="raw"), cli.EXIT_SINGULAR),
+    ], ids=["design-8psk", "design-zf-k-above-n", "design-eta-db-overflow",
+            "ser-16qam", "sumrate-two-snr", "ccdf-raw-singular"])
+    def test_library_rejections_exit_with_documented_code(
+            self, tmp_path, monkeypatch, capsys, command, config, expected):
+        if expected == cli.EXIT_SINGULAR:
+            monkeypatch.setattr(montecarlo, "draw_channel", _rank_deficient)
+        code, _ = _run(tmp_path, command, config)
+        assert code == expected
+        err = capsys.readouterr().err
+        if expected == cli.EXIT_BAD_CONFIG:
+            assert err.startswith("isacwave: config error at ")
+        else:
+            assert "dependent" in err
 
 
 class TestOverrides:
@@ -215,13 +251,20 @@ class TestDesignCommand:
         assert os.path.exists(os.path.join(out, "waveform.json"))
         assert os.path.exists(os.path.join(out, "kpi.json"))
 
-    def test_singular_channel_exit_three(self, tmp_path, monkeypatch):
-        def rank_deficient(k_users, cfg, noise_variance, rng_seed):
-            row = np.ones((1, cfg.n_antennas), dtype=complex)
-            return ChannelRealization(np.vstack([row] * k_users),
-                                      noise_variance)
+    @pytest.mark.parametrize("command,config", [
+        ("design", _design_config(epsilon=0.0, eta=1.0)),
+        ("ccdf", _experiment_config(n_samples=16, epsilon=[0.0],
+                                    eta_db=[0.0])),
+    ])
+    def test_epsilon_zero_accepts_chirp_at_unit_cap(self, tmp_path, command,
+                                                    config):
+        # the chirp's PAPR is 1 exactly, but computes above 1 by roundoff
+        assert kpi.papr(chirp_reference(4, 16).vec) > 1.0
+        code, _ = _run(tmp_path, command, config)
+        assert code == cli.EXIT_OK
 
-        monkeypatch.setattr(cli, "draw_channel", rank_deficient)
+    def test_singular_channel_exit_three(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(montecarlo, "draw_channel", _rank_deficient)
         code, _ = _run(tmp_path, "design", _design_config())
         assert code == cli.EXIT_SINGULAR
 
@@ -330,3 +373,51 @@ class TestShippedConfigs:
         config = json.load(open(os.path.join(root, name)))
         resolved = cli._resolve_section(section, config[section])
         assert resolved["n_antennas"] >= resolved["k_users"]
+
+
+class TestPaprCapRule:
+    @settings(max_examples=60, deadline=None)
+    @given(n_antennas=st.integers(1, 6), n_samples=st.integers(1, 12),
+           upper_edge=st.booleans(), rel=st.floats(-1e-8, 1e-8),
+           as_db=st.booleans())
+    def test_design_and_sweeps_share_one_cap_rule(
+            self, n_antennas, n_samples, upper_edge, rel, as_db):
+        n_total = n_antennas * n_samples
+        eta = (n_total if upper_edge else 1.0) * (1.0 + rel)
+        cap = {"eta_db": 10.0 * math.log10(eta)} if as_db else {"eta": eta}
+        shape = {"n_antennas": n_antennas, "k_users": 1,
+                 "n_samples": n_samples}
+        design = {**shape, **cap, "epsilon": 1.0, "m_iter": 1,
+                  "channel_seed": 1, "symbol_seed": 2}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as handle:
+                json.dump({"design": design}, handle)
+            code = cli.main(["design", "--config", path, "--out", tmp])
+        design_accepts = code != cli.EXIT_BAD_CONFIG
+
+        experiment = cli._resolve_section("experiment", {
+            **shape, **cap, "rho": [1.0], "epsilon": [1.0],
+            "snr_db": [10.0]})
+        try:
+            cli._experiment_config(experiment)
+            sweep_accepts = True
+        except ValueError:
+            sweep_accepts = False
+        assert design_accepts == sweep_accepts
+
+        excess = max(1.0 - eta, eta / n_total - 1.0)
+        if excess < 0.5e-9:
+            assert design_accepts
+        if excess > 2e-9:
+            assert not design_accepts
+        if design_accepts:
+            eta_db = 10.0 * math.log10(eta) if not as_db else cap["eta_db"]
+            linear = papr_cap(eta_db, n_total)
+            assert 1.0 <= linear <= n_total
+            ProblemSpec(
+                channel=draw_channel(1, ArrayConfig(n_antennas), 1.0, 1),
+                symbols=draw_symbols(1, n_samples, "qpsk", 2),
+                reference=chirp_reference(n_antennas, n_samples),
+                epsilon=1.0, eta=linear,
+            )

@@ -228,6 +228,14 @@ class TestRunSer:
             for errors, symbols in zip(stats["errors"], stats["symbols"]):
                 assert errors >= 100 or symbols >= 1_000_000
 
+    def test_zero_mui_counts_pin_the_stream_layout(self):
+        # only the symbol and noise streams feed these counts
+        table = run_ser(_cfg(snr_grid_db=(0.0, 4.0), n_trials=1))
+        stats = table.metadata["series_stats"]["zero_mui"]
+        assert stats["errors"] == [104, 100]
+        assert stats["symbols"] == [384, 880]
+        assert stats["trials"] == [24, 55]
+
     def test_deterministic_and_worker_invariant(self):
         cfg = _cfg(snr_grid_db=(1.0, 5.0), n_trials=1, m_iter=60)
         a = run_ser(cfg, threads=1)
