@@ -30,11 +30,18 @@ of shrinking; a large enough penalty restores convergence on this
 nonconvex set.  The "adaptive" schedule therefore doubles rho whenever
 the residuals stall (see :data:`RHO_SCHEDULES`).  Because the duals are
 unscaled, a change of rho needs no dual rescaling.
+
+Stacks.  :func:`solve` advances independent instances as the rows of one
+(T, 2*N*L) stack; one instance is the stack T = 1.  Every step acts on
+the trailing axis with one value of rho, epsilon and eta per row, and
+every norm is a per-row dot product, so a row's iterates are bitwise
+the same whatever rows share its stack.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +71,9 @@ _RHO_MAX = 20.0
 # relative slack of every PAPR-cap comparison against its range edges;
 # it absorbs the roundoff of the dB conversion and of a computed PAPR
 _ETA_SLACK = 1e-9
+
+# smallest divisor of a projection; keeps a zero argument finite
+_TINY = np.finfo(float).tiny
 
 
 class SingularChannelError(ValueError):
@@ -165,7 +175,9 @@ class AdmmState:
     """Iterate of the splitting: primal block, auxiliaries, duals.
 
     gamma and w hold one (Re, Im) pair per sample, shape (N*L, 2); the
-    pair for sample n corresponds to slots (n, N*L + n) of x_bar.
+    pair for sample n corresponds to slots (n, N*L + n) of x_bar.  A
+    stack of independent instances carries leading batch axes on every
+    array: x_bar of shape (T, 2*N*L), gamma of shape (T, N*L, 2).
     """
 
     x_bar: np.ndarray
@@ -178,29 +190,69 @@ class AdmmState:
     iteration: int = 0
 
     @classmethod
-    def initial(cls, n_total: int) -> "AdmmState":
-        """All-zero start."""
-        dim = 2 * n_total
+    def initial(cls, n_total: int, batch: tuple = ()) -> "AdmmState":
+        """All-zero start, with leading batch axes of shape ``batch``."""
+        vector = tuple(batch) + (2 * n_total,)
+        pairs = tuple(batch) + (n_total, 2)
         return cls(
-            x_bar=np.zeros(dim),
-            alpha=np.zeros(dim),
-            beta=np.zeros(dim),
-            gamma=np.zeros((n_total, 2)),
-            u=np.zeros(dim),
-            v=np.zeros(dim),
-            w=np.zeros((n_total, 2)),
+            x_bar=np.zeros(vector),
+            alpha=np.zeros(vector),
+            beta=np.zeros(vector),
+            gamma=np.zeros(pairs),
+            u=np.zeros(vector),
+            v=np.zeros(vector),
+            w=np.zeros(pairs),
+        )
+
+    def take(self, rows) -> "AdmmState":
+        """The iterate of the selected rows of a stack."""
+        return AdmmState(
+            x_bar=self.x_bar[rows],
+            alpha=self.alpha[rows],
+            beta=self.beta[rows],
+            gamma=self.gamma[rows],
+            u=self.u[rows],
+            v=self.v[rows],
+            w=self.w[rows],
+            iteration=self.iteration,
         )
 
 
+def _per_row(value, trailing: int):
+    """A scalar or per-row value, shaped to broadcast over ``trailing``
+    more axes than the batch axes it is given for.
+
+    A single value comes back as a float: it broadcasts to every row,
+    and numpy applies a float faster than a one-element array.
+    """
+    value = np.asarray(value, dtype=float)
+    if value.size == 1:
+        return value.item()
+    return value[(...,) + (None,) * trailing]
+
+
+def _row_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the trailing axis.
+
+    Each row is one dot product, the one np.linalg.norm takes of a 1-D
+    vector, so a row's norm equals that of the row alone and does not
+    depend on the rows stacked with it.
+    """
+    return np.sqrt(np.vecdot(a, a))
+
+
 def coupling_pairs(x_bar: np.ndarray) -> np.ndarray:
-    """Per-sample (Re, Im) pairs of a lifted vector, shape (N*L, 2)."""
-    half = x_bar.size // 2
-    return np.column_stack((x_bar[:half], x_bar[half:]))
+    """Per-sample (Re, Im) pairs of a lifted vector, shape (..., N*L, 2)."""
+    half = x_bar.shape[-1] // 2
+    pairs = np.empty(x_bar.shape[:-1] + (half, 2))
+    pairs[..., 0] = x_bar[..., :half]
+    pairs[..., 1] = x_bar[..., half:]
+    return pairs
 
 
 def scatter_pairs(pairs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`coupling_pairs`: place pairs back into slots."""
-    return np.concatenate((pairs[:, 0], pairs[:, 1]))
+    return pairs.swapaxes(-1, -2).reshape(pairs.shape[:-2] + (-1,))
 
 
 def zero_forcing_target(
@@ -230,15 +282,17 @@ def zero_forcing_target(
 
 
 def x_update(
-    state: AdmmState, rho: float, x_bar_comm: np.ndarray, x_bar_0: np.ndarray
+    state: AdmmState, rho, x_bar_comm: np.ndarray, x_bar_0: np.ndarray
 ) -> np.ndarray:
     """Closed-form minimizer of the augmented objective in x_bar.
 
     The objective is quadratic with Hessian (2 + 3*rho) * I because the
     per-sample selectors partition the lifted coordinates, so the
     minimizer is the weighted average of the communication pull and the
-    three constraint pulls, shifted by the duals.
+    three constraint pulls, shifted by the duals.  Acts on the trailing
+    axis; rho is a scalar or one value per row.
     """
+    rho = _per_row(rho, 1)
     pull = (
         2.0 * x_bar_comm
         - state.u
@@ -252,60 +306,68 @@ def x_update(
 def alpha_update(
     x_bar_new: np.ndarray,
     u: np.ndarray,
-    rho: float,
+    rho,
     fallback: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Project x_bar + u/rho onto the unit-energy sphere.
+    """Project x_bar + u/rho onto the unit-energy sphere, row by row.
 
     A zero argument has no nearest point on the sphere; the previous
-    auxiliary can be supplied as a fallback, otherwise this raises.
+    auxiliary can be supplied as a fallback for such rows, otherwise
+    this raises.
     """
-    t = x_bar_new + u / rho
-    norm = np.linalg.norm(t)
-    if norm < 1e-12:
-        if fallback is not None:
-            return fallback.copy()
+    t = x_bar_new + u / _per_row(rho, 1)
+    norm = _row_norm(t)
+    degenerate = norm < 1e-12
+    if not np.count_nonzero(degenerate):
+        return t / norm[..., None]
+    if fallback is None:
         raise DegenerateProjectionError(
             "cannot project the zero vector onto the unit sphere"
         )
-    return t / norm
+    projected = t / np.where(degenerate, 1.0, norm)[..., None]
+    return np.where(degenerate[..., None], fallback, projected)
 
 
 def beta_update(
     x_bar_new: np.ndarray,
     x_bar_0: np.ndarray,
     v: np.ndarray,
-    rho: float,
-    epsilon: float,
+    rho,
+    epsilon,
 ) -> np.ndarray:
-    """Project (x_bar - x0_bar) + v/rho onto the epsilon-ball."""
-    t = x_bar_new - x_bar_0 + v / rho
-    norm = np.linalg.norm(t)
-    if norm <= epsilon:
-        return t
-    return t * (epsilon / norm)
+    """Project (x_bar - x0_bar) + v/rho onto the epsilon-ball, row by row."""
+    t = x_bar_new - x_bar_0 + v / _per_row(rho, 1)
+    epsilon = _per_row(epsilon, 0)
+    # epsilon / max(norm, epsilon) is exactly 1 inside the ball; the
+    # floor keeps a zero row at epsilon = 0 from dividing 0 by 0
+    divisor = np.maximum(np.maximum(_row_norm(t), epsilon), _TINY)
+    return t * (epsilon / divisor)[..., None]
 
 
 def gamma_update(
     x_bar_new: np.ndarray,
     w: np.ndarray,
-    rho: float,
-    eta: float,
+    rho,
+    eta,
     n_total: int,
 ) -> np.ndarray:
     """Project each per-sample pair onto its energy disc.
 
     Pair n of coupling_pairs(x_bar) + w/rho is kept when its squared
     norm is at most eta/(N*L) and radially shrunk onto the boundary
-    otherwise.  Boundary points are members, not violations.
+    otherwise.  Boundary points are members, not violations.  eta is a
+    scalar or one value per row.
     """
-    t = coupling_pairs(x_bar_new) + w / rho
-    cap = eta / n_total
-    sq = np.sum(t * t, axis=1)
-    outside = sq > cap
-    scale = np.ones_like(sq)
-    scale[outside] = np.sqrt(cap / sq[outside])
-    return t * scale[:, None]
+    # the pairs' Re and Im parts, computed in the slots of x_bar
+    t = x_bar_new + scatter_pairs(w) / _per_row(rho, 1)
+    re, im = t[..., :n_total], t[..., n_total:]
+    cap = _per_row(eta, 1) / n_total
+    # exactly 1 for pairs inside the disc (cap / cap), a zero pair included
+    scale = np.sqrt(cap / np.maximum(re * re + im * im, cap))
+    pairs = np.empty(t.shape[:-1] + (n_total, 2))
+    np.multiply(re, scale, out=pairs[..., 0])
+    np.multiply(im, scale, out=pairs[..., 1])
+    return pairs
 
 
 def dual_updates(
@@ -314,13 +376,14 @@ def dual_updates(
     alpha_new: np.ndarray,
     beta_new: np.ndarray,
     gamma_new: np.ndarray,
-    rho: float,
+    rho,
     x_bar_0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascend the three duals along their consensus residuals."""
-    u = state.u + rho * (x_bar_new - alpha_new)
-    v = state.v + rho * (x_bar_new - x_bar_0 - beta_new)
-    w = state.w + rho * (coupling_pairs(x_bar_new) - gamma_new)
+    rho_row = _per_row(rho, 1)
+    u = state.u + rho_row * (x_bar_new - alpha_new)
+    v = state.v + rho_row * (x_bar_new - x_bar_0 - beta_new)
+    w = state.w + _per_row(rho, 2) * (coupling_pairs(x_bar_new) - gamma_new)
     return u, v, w
 
 
@@ -424,78 +487,160 @@ def _violations(spec: ProblemSpec, x: np.ndarray) -> ConstraintViolations:
     )
 
 
-def solve(spec: ProblemSpec) -> SolveResult:
-    """Run the splitting for max_iterations (optionally stopping early
-    once all residual norms drop below feasibility_tolerance) and return
-    the final primal block with its diagnostics.
+def solve(
+    spec: ProblemSpec | Sequence[ProblemSpec],
+) -> SolveResult | list[SolveResult]:
+    """Design one instance, or a stack of independent instances at once.
 
-    epsilon = 0 short-circuits to the reference block: the similarity
-    ball is the single point x0, feasible by ProblemSpec validation.
+    ``solve(spec)`` returns one SolveResult; ``solve([spec, ...])``
+    returns the list of SolveResults in the order given.  The instances
+    of a stack must share N, L and max_iterations; each keeps its own
+    epsilon, eta, rho, rho_schedule, feasibility_tolerance and
+    early_stop, and its result does not depend on the other rows.
+
+    Each instance runs the splitting for max_iterations (optionally
+    stopping early once all residual norms drop below
+    feasibility_tolerance) and returns the final primal block with its
+    diagnostics.  epsilon = 0 short-circuits to the reference block: the
+    similarity ball is the single point x0, feasible by ProblemSpec
+    validation.
     """
-    x_comm = zero_forcing_target(spec.channel, spec.symbols)
-    x_bar_comm = lift(x_comm)
-    x_bar_0 = spec.reference.lifted
-    empty = np.empty(0)
+    single = isinstance(spec, ProblemSpec)
+    specs = [spec] if single else list(spec)
+    shapes = {(s.reference.n_antennas, s.reference.n_samples,
+               s.max_iterations) for s in specs}
+    if len(shapes) > 1:
+        raise ValueError(
+            "stacked specs must share n_antennas, n_samples and "
+            "max_iterations"
+        )
+    x_bar_comm = [lift(zero_forcing_target(s.channel, s.symbols))
+                  for s in specs]
+    runs = [None] * len(specs)
+    rows = [i for i, s in enumerate(specs) if s.epsilon != 0]
+    if rows:
+        stack = _iterate([specs[i] for i in rows],
+                         np.array([x_bar_comm[i] for i in rows]))
+        for i, run in zip(rows, stack):
+            runs[i] = run
+    results = [_result(s, comm, run)
+               for s, comm, run in zip(specs, x_bar_comm, runs)]
+    return results[0] if single else results
 
-    if spec.epsilon == 0:
-        x0 = spec.reference.vec
+
+def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
+    """Advance a stack of instances, one row each, to their ends.
+
+    A row ends after max_iterations, or earlier when it stops early; a
+    stopped row leaves the stack, so its iterate is frozen.  Returns,
+    per row, (final x_bar, residual history of shape (3, iterations
+    run), rho trajectory).
+    """
+    n_rows = len(specs)
+    n_total = specs[0].n_total
+    budget = specs[0].max_iterations
+    x_bar_0 = np.array([s.reference.lifted for s in specs])
+    rho = np.array([s.rho for s in specs], dtype=float)
+    epsilon = np.array([s.epsilon for s in specs], dtype=float)
+    eta = np.array([s.eta for s in specs], dtype=float)
+    # a row without early stopping never falls below -inf
+    tolerance = np.array([s.feasibility_tolerance if s.early_stop
+                          else -np.inf for s in specs])
+    stops_early = any(s.early_stop for s in specs)
+    adaptive = np.array([s.rho_schedule == "adaptive" for s in specs])
+    checked = np.full(n_rows, np.inf)
+    trajectories = [[(0, s.rho)] for s in specs]
+    history = np.empty((3, n_rows, budget))
+    ends = [None] * n_rows
+    live = np.arange(n_rows)  # the stack's rows, as indices into specs
+    # per-iteration residual norms of the live rows, kept until the stack
+    # next loses rows or ends and then written into history
+    pending = ([], [], [])
+    state = AdmmState.initial(n_total, batch=(n_rows,))
+
+    for m in range(budget):
+        state.x_bar = x_update(state, rho, x_bar_comm, x_bar_0)
+        state.alpha = alpha_update(state.x_bar, state.u, rho,
+                                   fallback=state.alpha)
+        state.beta = beta_update(state.x_bar, x_bar_0, state.v, rho, epsilon)
+        state.gamma = gamma_update(state.x_bar, state.w, rho, eta, n_total)
+        r_energy = _row_norm(state.x_bar - state.alpha)
+        r_similarity = _row_norm(state.x_bar - x_bar_0 - state.beta)
+        papr_gap = coupling_pairs(state.x_bar) - state.gamma
+        r_papr = np.sqrt(np.add.reduce(
+            (papr_gap * papr_gap).reshape(live.size, -1), axis=-1))
+        pending[0].append(r_energy)
+        pending[1].append(r_similarity)
+        pending[2].append(r_papr)
+        state.u, state.v, state.w = dual_updates(
+            state, state.x_bar, state.alpha, state.beta, state.gamma, rho,
+            x_bar_0,
+        )
+        state.iteration = m + 1
+        checks_rho = state.iteration % _RHO_CHECK_EVERY == 0
+        if not (stops_early or checks_rho):
+            continue
+        largest = np.maximum(np.maximum(r_energy, r_similarity), r_papr)
+        stopped = largest < tolerance
+        if stopped.any():
+            _record(history, live, state.iteration, pending)
+            for j in np.flatnonzero(stopped):
+                ends[live[j]] = (state.x_bar[j], state.iteration)
+            keep = ~stopped
+            state = state.take(keep)
+            (live, rho, epsilon, eta, tolerance, adaptive, checked,
+             largest, x_bar_comm, x_bar_0) = (
+                a[keep] for a in (live, rho, epsilon, eta, tolerance,
+                                  adaptive, checked, largest, x_bar_comm,
+                                  x_bar_0))
+            if live.size == 0:
+                break
+        if checks_rho:
+            double = (adaptive & (largest > _RHO_STALL_FLOOR)
+                      & (largest > 0.5 * checked) & (rho < _RHO_MAX))
+            rho = np.where(double, np.minimum(2.0 * rho, _RHO_MAX), rho)
+            for j in np.flatnonzero(double):
+                trajectories[live[j]].append((state.iteration, float(rho[j])))
+            checked = np.where(adaptive, largest, checked)
+
+    _record(history, live, budget, pending)
+    for j, row in enumerate(live):
+        ends[row] = (state.x_bar[j], budget)
+    return [(x_bar, history[:, row, :ran].copy(), trajectories[row])
+            for row, (x_bar, ran) in enumerate(ends)]
+
+
+def _record(history: np.ndarray, live: np.ndarray, end: int,
+            pending: tuple) -> None:
+    """Move the pending residual norms of the live rows into history,
+    where they cover the iterations up to ``end``."""
+    for series, norms in zip(history, pending):
+        if norms:
+            series[live, end - len(norms):end] = np.array(norms).T
+            norms.clear()
+
+
+def _result(spec: ProblemSpec, x_bar_comm: np.ndarray, run) -> SolveResult:
+    """The SolveResult of one row; ``run`` is its :func:`_iterate` entry,
+    or None for an epsilon = 0 row, which is pinned to the reference."""
+    if run is None:
+        empty = np.empty(0)
+        x_bar_0 = spec.reference.lifted
         return SolveResult(
             waveform=Waveform(spec.reference.entries.copy()),
             objective=float(np.linalg.norm(x_bar_0 - x_bar_comm) ** 2),
-            constraint_violations=_violations(spec, x0),
+            constraint_violations=_violations(spec, spec.reference.vec),
             residual_history=ResidualHistory(empty, empty, empty),
             iterations_run=0,
             rho_trajectory=((0, spec.rho),),
         )
-
-    n_total = spec.n_total
-    rho = spec.rho
-    trajectory = [(0, rho)]
-    checked_residual = np.inf
-    state = AdmmState.initial(n_total)
-    r_energy = np.empty(spec.max_iterations)
-    r_similarity = np.empty(spec.max_iterations)
-    r_papr = np.empty(spec.max_iterations)
-
-    for m in range(spec.max_iterations):
-        state.x_bar = x_update(state, rho, x_bar_comm, x_bar_0)
-        state.alpha = alpha_update(state.x_bar, state.u, rho, fallback=state.alpha)
-        state.beta = beta_update(state.x_bar, x_bar_0, state.v, rho, spec.epsilon)
-        state.gamma = gamma_update(state.x_bar, state.w, rho, spec.eta, n_total)
-        r_energy[m] = np.linalg.norm(state.x_bar - state.alpha)
-        r_similarity[m] = np.linalg.norm(state.x_bar - x_bar_0 - state.beta)
-        r_papr[m] = np.sqrt(
-            np.sum((coupling_pairs(state.x_bar) - state.gamma) ** 2)
-        )
-        state.u, state.v, state.w = dual_updates(
-            state, state.x_bar, state.alpha, state.beta, state.gamma, rho, x_bar_0
-        )
-        state.iteration = m + 1
-        if spec.early_stop and max(r_energy[m], r_similarity[m], r_papr[m]) < (
-            spec.feasibility_tolerance
-        ):
-            break
-        if (spec.rho_schedule == "adaptive"
-                and state.iteration % _RHO_CHECK_EVERY == 0):
-            residual = max(r_energy[m], r_similarity[m], r_papr[m])
-            if (residual > _RHO_STALL_FLOOR
-                    and residual > 0.5 * checked_residual
-                    and rho < _RHO_MAX):
-                rho = min(2.0 * rho, _RHO_MAX)
-                trajectory.append((state.iteration, rho))
-            checked_residual = residual
-
-    ran = state.iteration
-    x = unlift(state.x_bar)
+    x_bar, history, trajectory = run
+    x = unlift(x_bar)
     return SolveResult(
         waveform=Waveform(unvec(x, spec.reference.n_antennas)),
-        objective=float(np.linalg.norm(state.x_bar - x_bar_comm) ** 2),
+        objective=float(np.linalg.norm(x_bar - x_bar_comm) ** 2),
         constraint_violations=_violations(spec, x),
-        residual_history=ResidualHistory(
-            energy=r_energy[:ran].copy(),
-            similarity=r_similarity[:ran].copy(),
-            papr=r_papr[:ran].copy(),
-        ),
-        iterations_run=ran,
+        residual_history=ResidualHistory(*history),
+        iterations_run=history.shape[1],
         rho_trajectory=tuple(trajectory),
     )

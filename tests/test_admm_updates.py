@@ -245,3 +245,63 @@ def test_augmented_lagrangian_matches_manual_expansion():
         state.u, state.v, state.w, rho, xbc, xb0,
     )
     assert abs(got - want) < 1e-12
+
+
+def test_steps_on_a_stack_equal_the_steps_on_each_row():
+    # every step acts on the trailing axis, with rho, epsilon and eta
+    # given per row; each row must match the 1-D call bitwise
+    rng = np.random.default_rng(8)
+    n_total, rows = 5, 4
+    states = [_random_state(rng, n_total) for _ in range(rows)]
+    stack = admm.AdmmState(**{
+        field: np.stack([getattr(s, field) for s in states])
+        for field in ("x_bar", "alpha", "beta", "gamma", "u", "v", "w")
+    })
+    rho = rng.uniform(0.2, 3.0, rows)
+    epsilon = rng.uniform(0.1, 3.0, rows)
+    eta = rng.uniform(1.0, n_total, rows)
+    xbc = rng.standard_normal((rows, 2 * n_total))
+    xb0 = rng.standard_normal((rows, 2 * n_total))
+
+    got = (
+        admm.x_update(stack, rho, xbc, xb0),
+        admm.alpha_update(stack.x_bar, stack.u, rho),
+        admm.beta_update(stack.x_bar, xb0, stack.v, rho, epsilon),
+        admm.gamma_update(stack.x_bar, stack.w, rho, eta, n_total),
+        *admm.dual_updates(stack, stack.x_bar, stack.alpha, stack.beta,
+                           stack.gamma, rho, xb0),
+        admm.coupling_pairs(stack.x_bar),
+        admm.scatter_pairs(stack.gamma),
+    )
+    for i, s in enumerate(states):
+        want = (
+            admm.x_update(s, rho[i], xbc[i], xb0[i]),
+            admm.alpha_update(s.x_bar, s.u, rho[i]),
+            admm.beta_update(s.x_bar, xb0[i], s.v, rho[i], epsilon[i]),
+            admm.gamma_update(s.x_bar, s.w, rho[i], eta[i], n_total),
+            *admm.dual_updates(s, s.x_bar, s.alpha, s.beta, s.gamma, rho[i],
+                               xb0[i]),
+            admm.coupling_pairs(s.x_bar),
+            admm.scatter_pairs(s.gamma),
+        )
+        for batched, single in zip(got, want):
+            np.testing.assert_array_equal(batched[i], single)
+
+
+def test_degenerate_rows_of_a_stack():
+    x = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 4.0, 0.0]])
+    zeros = np.zeros_like(x)
+    with pytest.raises(admm.DegenerateProjectionError):
+        admm.alpha_update(x, zeros, np.array([1.0, 1.0]))
+    prev = np.full_like(x, 0.5)
+    with np.errstate(all="raise"):
+        alpha = admm.alpha_update(x, zeros, np.array([1.0, 1.0]),
+                                  fallback=prev)
+        # a zero row at epsilon = 0 and zero pairs inside the disc
+        beta = admm.beta_update(x, zeros, zeros, 1.0, np.array([0.0, 1.0]))
+        gamma = admm.gamma_update(x, np.zeros((2, 2, 2)), 1.0, 2.0, 2)
+    np.testing.assert_array_equal(alpha[0], prev[0])
+    np.testing.assert_array_equal(beta[0], zeros[0])
+    np.testing.assert_array_equal(gamma[0], np.zeros((2, 2)))
+    for projected in (alpha[1], beta[1], gamma[1].T.ravel()):
+        np.testing.assert_allclose(projected, [0.6, 0.0, 0.8, 0.0])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from isacwave import montecarlo
 from isacwave.kpi import sinr_per_user
 from isacwave.montecarlo import (
     CurveTable,
@@ -259,3 +260,59 @@ class TestSnrConventions:
         b = run_ccdf(_cfg(n_trials=4, m_iter=60, snr_convention="raw"))
         label = "rho=1,eta=4dB"
         assert not np.array_equal(a.series[label], b.series[label])
+
+
+class TestTrialStacks:
+    def _spy(self, monkeypatch, name):
+        calls = []
+        real = getattr(montecarlo, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, name, spy)
+        return calls
+
+    def test_each_grid_point_is_one_stack_with_one_reference(self, monkeypatch):
+        stacks = self._spy(monkeypatch, "solve")
+        references = self._spy(monkeypatch, "chirp_reference")
+        run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
+                      n_trials=5, m_iter=20))
+        assert [len(specs) for specs in stacks] == [5, 5, 5, 5]
+        assert len(references) == 4
+
+    def test_a_stack_holds_at_most_a_chunk_of_trials(self, monkeypatch):
+        stacks = self._spy(monkeypatch, "solve")
+        n_trials = montecarlo._CHUNK_TRIALS + 3
+        run_ccdf(_cfg(n_trials=n_trials, m_iter=2))
+        assert [len(specs) for specs in stacks] == [
+            montecarlo._CHUNK_TRIALS, 3]
+
+    def test_each_ser_batch_of_designed_trials_is_one_stack(self, monkeypatch):
+        stacks = self._spy(monkeypatch, "solve")
+        run_ser(_cfg(snr_grid_db=(0.0,), n_trials=1, m_iter=20))
+        assert stacks and all(len(specs) == 64 for specs in stacks)
+
+    def test_ser_counts_detect_once_and_match_the_per_point_loop(
+            self, monkeypatch):
+        cfg = _cfg(snr_grid_db=(0.0, 3.0, 6.0))
+        sigma2s = tuple(10.0 ** (-s / 10.0) for s in cfg.snr_grid_db)
+        sent = draw_symbols(2, 8, "qpsk", rng_seed=3).symbols
+        received = 0.8 * sent + 0.1
+        trial, series = 4, 0
+        detect = montecarlo.detect_qpsk
+        detections = self._spy(monkeypatch, "detect_qpsk")
+        counts = montecarlo._ser_counts(cfg, sigma2s, trial, received, sent,
+                                        series)
+        assert len(detections) == 2
+        want = []
+        for p, sigma2 in enumerate(sigma2s):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [cfg.base_seed, trial, montecarlo._PURPOSE_NOISE, p, series]))
+            noise = (rng.standard_normal(sent.shape)
+                     + 1j * rng.standard_normal(sent.shape))
+            noise *= math.sqrt(sigma2 / 2.0)
+            want.append(int(np.count_nonzero(
+                detect(received + noise) != detect(sent))))
+        assert [int(c) for c in counts] == want
