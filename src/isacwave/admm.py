@@ -35,7 +35,10 @@ Stacks.  :func:`solve` advances independent instances as the rows of one
 (T, 2*N*L) stack; one instance is the stack T = 1.  Every step acts on
 the trailing axis with one value of rho, epsilon and eta per row, and
 every norm is a per-row dot product, so a row's iterates are bitwise
-the same whatever rows share its stack.
+the same whatever rows share its stack.  Rows never leave the stack: a
+row that stops early has its iterate and iteration count recorded, and
+its later values are never read.  An epsilon = 0 row ends at iteration
+0 with the reference as its iterate.
 """
 
 from __future__ import annotations
@@ -125,12 +128,12 @@ class ProblemSpec:
             )
         if k > n:
             raise ValueError(f"need k_users <= n_antennas, got K={k} > N={n}")
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be finite and >= 0")
         if not 1.0 <= self.eta <= self.n_total:
             raise ValueError(f"eta must lie in [1, N*L] = [1, {self.n_total}]")
-        if not self.rho > 0:
-            raise ValueError("rho must be > 0")
+        if not (self.rho > 0 and math.isfinite(self.rho)):
+            raise ValueError("rho must be finite and > 0")
         if self.rho_schedule not in RHO_SCHEDULES:
             raise ValueError(f"rho_schedule must be one of {RHO_SCHEDULES}")
         if self.max_iterations < 1:
@@ -202,19 +205,6 @@ class AdmmState:
             u=np.zeros(vector),
             v=np.zeros(vector),
             w=np.zeros(pairs),
-        )
-
-    def take(self, rows) -> "AdmmState":
-        """The iterate of the selected rows of a stack."""
-        return AdmmState(
-            x_bar=self.x_bar[rows],
-            alpha=self.alpha[rows],
-            beta=self.beta[rows],
-            gamma=self.gamma[rows],
-            u=self.u[rows],
-            v=self.v[rows],
-            w=self.w[rows],
-            iteration=self.iteration,
         )
 
 
@@ -501,9 +491,9 @@ def solve(
     Each instance runs the splitting for max_iterations (optionally
     stopping early once all residual norms drop below
     feasibility_tolerance) and returns the final primal block with its
-    diagnostics.  epsilon = 0 short-circuits to the reference block: the
-    similarity ball is the single point x0, feasible by ProblemSpec
-    validation.
+    diagnostics.  An epsilon = 0 instance returns the reference block
+    after 0 iterations: the similarity ball is the single point x0,
+    feasible by ProblemSpec validation.
     """
     single = isinstance(spec, ProblemSpec)
     specs = [spec] if single else list(spec)
@@ -514,31 +504,27 @@ def solve(
             "stacked specs must share n_antennas, n_samples and "
             "max_iterations"
         )
-    x_bar_comm = [lift(zero_forcing_target(s.channel, s.symbols))
-                  for s in specs]
-    runs = [None] * len(specs)
-    rows = [i for i, s in enumerate(specs) if s.epsilon != 0]
-    if rows:
-        stack = _iterate([specs[i] for i in rows],
-                         np.array([x_bar_comm[i] for i in rows]))
-        for i, run in zip(rows, stack):
-            runs[i] = run
-    results = [_result(s, comm, run)
-               for s, comm, run in zip(specs, x_bar_comm, runs)]
+    if not specs:
+        return []
+    x_bar_comm = np.array([lift(zero_forcing_target(s.channel, s.symbols))
+                           for s in specs])
+    results = [_result(s, comm, *run) for s, comm, run
+               in zip(specs, x_bar_comm, _iterate(specs, x_bar_comm))]
     return results[0] if single else results
 
 
 def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
     """Advance a stack of instances, one row each, to their ends.
 
-    A row ends after max_iterations, or earlier when it stops early; a
-    stopped row leaves the stack, so its iterate is frozen.  Returns,
-    per row, (final x_bar, residual history of shape (3, iterations
-    run), rho trajectory).
+    A row ends after max_iterations, earlier when it stops early, or at
+    iteration 0 when epsilon = 0 pins it to the reference.  Its iterate
+    and iteration count are recorded at its end; after that it may go on
+    being advanced with the stack, but its later values are never read.
+    Returns, per row, (x_bar at its end, residual history of shape (3,
+    iterations run), rho trajectory).
     """
     n_rows = len(specs)
     n_total = specs[0].n_total
-    budget = specs[0].max_iterations
     x_bar_0 = np.array([s.reference.lifted for s in specs])
     rho = np.array([s.rho for s in specs], dtype=float)
     epsilon = np.array([s.epsilon for s in specs], dtype=float)
@@ -550,15 +536,13 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
     adaptive = np.array([s.rho_schedule == "adaptive" for s in specs])
     checked = np.full(n_rows, np.inf)
     trajectories = [[(0, s.rho)] for s in specs]
-    history = np.empty((3, n_rows, budget))
-    ends = [None] * n_rows
-    live = np.arange(n_rows)  # the stack's rows, as indices into specs
-    # per-iteration residual norms of the live rows, kept until the stack
-    # next loses rows or ends and then written into history
-    pending = ([], [], [])
+    running = epsilon != 0
+    ends = np.zeros(n_rows, dtype=int)
+    x_bar_end = x_bar_0.copy()
+    norms = []  # per iteration, the three residual norms of every row
     state = AdmmState.initial(n_total, batch=(n_rows,))
 
-    for m in range(budget):
+    for m in range(specs[0].max_iterations if running.any() else 0):
         state.x_bar = x_update(state, rho, x_bar_comm, x_bar_0)
         state.alpha = alpha_update(state.x_bar, state.u, rho,
                                    fallback=state.alpha)
@@ -568,10 +552,8 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
         r_similarity = _row_norm(state.x_bar - x_bar_0 - state.beta)
         papr_gap = coupling_pairs(state.x_bar) - state.gamma
         r_papr = np.sqrt(np.add.reduce(
-            (papr_gap * papr_gap).reshape(live.size, -1), axis=-1))
-        pending[0].append(r_energy)
-        pending[1].append(r_similarity)
-        pending[2].append(r_papr)
+            (papr_gap * papr_gap).reshape(n_rows, -1), axis=-1))
+        norms.append((r_energy, r_similarity, r_papr))
         state.u, state.v, state.w = dual_updates(
             state, state.x_bar, state.alpha, state.beta, state.gamma, rho,
             x_bar_0,
@@ -581,60 +563,31 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
         if not (stops_early or checks_rho):
             continue
         largest = np.maximum(np.maximum(r_energy, r_similarity), r_papr)
-        stopped = largest < tolerance
+        stopped = running & (largest < tolerance)
         if stopped.any():
-            _record(history, live, state.iteration, pending)
-            for j in np.flatnonzero(stopped):
-                ends[live[j]] = (state.x_bar[j], state.iteration)
-            keep = ~stopped
-            state = state.take(keep)
-            (live, rho, epsilon, eta, tolerance, adaptive, checked,
-             largest, x_bar_comm, x_bar_0) = (
-                a[keep] for a in (live, rho, epsilon, eta, tolerance,
-                                  adaptive, checked, largest, x_bar_comm,
-                                  x_bar_0))
-            if live.size == 0:
+            x_bar_end[stopped] = state.x_bar[stopped]
+            ends[stopped] = state.iteration
+            running &= ~stopped
+            if not running.any():
                 break
         if checks_rho:
-            double = (adaptive & (largest > _RHO_STALL_FLOOR)
+            double = (running & adaptive & (largest > _RHO_STALL_FLOOR)
                       & (largest > 0.5 * checked) & (rho < _RHO_MAX))
             rho = np.where(double, np.minimum(2.0 * rho, _RHO_MAX), rho)
             for j in np.flatnonzero(double):
-                trajectories[live[j]].append((state.iteration, float(rho[j])))
+                trajectories[j].append((state.iteration, float(rho[j])))
             checked = np.where(adaptive, largest, checked)
 
-    _record(history, live, budget, pending)
-    for j, row in enumerate(live):
-        ends[row] = (state.x_bar[j], budget)
-    return [(x_bar, history[:, row, :ran].copy(), trajectories[row])
-            for row, (x_bar, ran) in enumerate(ends)]
+    x_bar_end[running] = state.x_bar[running]
+    ends[running] = state.iteration
+    history = np.reshape(norms, (-1, 3, n_rows))
+    return [(x_bar_end[i], history[:ran, :, i].T.copy(), trajectories[i])
+            for i, ran in enumerate(ends)]
 
 
-def _record(history: np.ndarray, live: np.ndarray, end: int,
-            pending: tuple) -> None:
-    """Move the pending residual norms of the live rows into history,
-    where they cover the iterations up to ``end``."""
-    for series, norms in zip(history, pending):
-        if norms:
-            series[live, end - len(norms):end] = np.array(norms).T
-            norms.clear()
-
-
-def _result(spec: ProblemSpec, x_bar_comm: np.ndarray, run) -> SolveResult:
-    """The SolveResult of one row; ``run`` is its :func:`_iterate` entry,
-    or None for an epsilon = 0 row, which is pinned to the reference."""
-    if run is None:
-        empty = np.empty(0)
-        x_bar_0 = spec.reference.lifted
-        return SolveResult(
-            waveform=Waveform(spec.reference.entries.copy()),
-            objective=float(np.linalg.norm(x_bar_0 - x_bar_comm) ** 2),
-            constraint_violations=_violations(spec, spec.reference.vec),
-            residual_history=ResidualHistory(empty, empty, empty),
-            iterations_run=0,
-            rho_trajectory=((0, spec.rho),),
-        )
-    x_bar, history, trajectory = run
+def _result(spec: ProblemSpec, x_bar_comm: np.ndarray, x_bar: np.ndarray,
+            history: np.ndarray, trajectory: list) -> SolveResult:
+    """The SolveResult of one row from its :func:`_iterate` entry."""
     x = unlift(x_bar)
     return SolveResult(
         waveform=Waveform(unvec(x, spec.reference.n_antennas)),

@@ -42,7 +42,6 @@ import numpy as np
 from . import __version__, kpi
 from .admm import ProblemSpec, SingularChannelError, papr_cap, solve
 from .montecarlo import (
-    SNR_CONVENTIONS,
     ExperimentConfig,
     draw_instance,
     run_ccdf,
@@ -171,9 +170,6 @@ def _resolve_section(section: str, raw: dict) -> dict:
             raise ConfigError(f"{section}.{key}", "missing required field")
         elif default is not None:
             resolved[key] = default
-    if resolved.get("snr_convention") not in SNR_CONVENTIONS:
-        raise ConfigError(f"{section}.snr_convention",
-                          f"expected one of {SNR_CONVENTIONS}")
     return resolved
 
 

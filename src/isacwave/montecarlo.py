@@ -108,10 +108,10 @@ class ExperimentConfig:
             if not grid:
                 raise ValueError(f"{name} must be nonempty")
             object.__setattr__(self, name, grid)
-        if any(r <= 0 for r in self.rho_grid):
-            raise ValueError("rho_grid entries must be > 0")
-        if any(e < 0 for e in self.epsilon_grid):
-            raise ValueError("epsilon_grid entries must be >= 0")
+        if not all(r > 0 and math.isfinite(r) for r in self.rho_grid):
+            raise ValueError("rho_grid entries must be finite and > 0")
+        if not all(e >= 0 and math.isfinite(e) for e in self.epsilon_grid):
+            raise ValueError("epsilon_grid entries must be finite and >= 0")
         for eta_db in self.eta_grid_db:
             papr_cap(eta_db, self.n_antennas * self.n_samples)
         constellation_points(self.constellation)  # rejects unknown names
@@ -183,6 +183,8 @@ def draw_instance(n_antennas: int, k_users: int, n_samples: int,
     by the draw itself, keeping the stream layout identical across
     conventions.
     """
+    if snr_convention not in SNR_CONVENTIONS:
+        raise ValueError(f"snr_convention must be one of {SNR_CONVENTIONS}")
     channel = draw_channel(k_users, ArrayConfig(n_antennas=n_antennas),
                            noise_variance=noise_variance,
                            rng_seed=channel_seed)

@@ -58,6 +58,8 @@ class TestExperimentConfig:
         ("snr_grid_db", ()),
         ("constellation", "8psk"),
         ("snr_convention", "whatever"),
+        ("rho_grid", (math.inf,)),
+        ("epsilon_grid", (math.inf,)),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises((ValueError, KeyError)):
@@ -260,6 +262,12 @@ class TestSnrConventions:
         b = run_ccdf(_cfg(n_trials=4, m_iter=60, snr_convention="raw"))
         label = "rho=1,eta=4dB"
         assert not np.array_equal(a.series[label], b.series[label])
+
+    def test_draw_instance_rejects_an_unknown_convention(self):
+        # a typo must not fall through to the raw channel
+        with pytest.raises(ValueError, match="snr_convention"):
+            montecarlo.draw_instance(4, 2, 8, "qpsk", "zf_normalized",
+                                     1, 2, 1.0)
 
 
 class TestTrialStacks:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isacwave import admm
 from isacwave.admm import ProblemSpec, solve, zero_forcing_target
 from isacwave.signal_model import (
     ArrayConfig,
@@ -178,6 +179,46 @@ def test_degenerate_rows_in_a_stack_raise_no_warning_and_give_no_nan():
         for field in ("energy", "similarity", "papr"):
             assert np.all(np.isfinite(getattr(result.residual_history, field)))
         _assert_same(result, solve(spec))
+
+
+def test_a_stopped_row_takes_no_later_rho_doubling():
+    # both rows stall on the tight caps.  The early-stop row stops at
+    # iteration 67, before the first doubling check at 200; its
+    # neighbour runs on and doubles rho there.  The stopped row stays in
+    # the stack, so that check must leave its rho and trajectory alone.
+    tight = dict(epsilon=0.5, eta=1.5, rho=1.0, max_iterations=300,
+                 rho_schedule="adaptive")
+    stopping = _spec(4, 2, 16, 2, early_stop=True,
+                     feasibility_tolerance=1e-2, **tight)
+    stalling = _spec(4, 2, 16, 1000, **tight)
+    alone = solve(stopping)
+    assert alone.iterations_run == 67
+    assert alone.rho_trajectory == ((0, 1.0),)
+    stacked, neighbour = solve([stopping, stalling])
+    assert neighbour.rho_trajectory == ((0, 1.0), (200, 2.0))
+    _assert_same(stacked, alone)
+
+
+def test_a_stack_of_pinned_rows_runs_no_iteration(monkeypatch):
+    calls = []
+    x_update = admm.x_update
+
+    def counting_x_update(*args):
+        calls.append(1)
+        return x_update(*args)
+
+    monkeypatch.setattr(admm, "x_update", counting_x_update)
+    pinned = [_spec(4, 2, 16, seed, epsilon=0.0, eta=2.0, max_iterations=50)
+              for seed in range(3)]
+    for spec, result in zip(pinned, solve(pinned)):
+        np.testing.assert_array_equal(result.waveform.entries,
+                                      spec.reference.entries)
+        assert result.iterations_run == 0
+    assert calls == []
+    # the counter sees the loop once a row needs it
+    solve(pinned + [_spec(4, 2, 16, 3, epsilon=1.0, eta=2.0,
+                          max_iterations=50)])
+    assert len(calls) == 50
 
 
 def test_single_spec_gives_a_result_and_a_list_gives_a_list():

@@ -1,5 +1,7 @@
 """End-to-end tests of the splitting solver and the zero-forcing target."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,12 +86,16 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError, match="epsilon"):
             _spec(0, epsilon=-0.1)
 
+    def test_infinite_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            _spec(0, epsilon=math.inf)
+
     @pytest.mark.parametrize("eta", [0.5, 0.0, N * L + 1.0])
     def test_eta_outside_meaningful_range_rejected(self, eta):
         with pytest.raises(ValueError, match="eta"):
             _spec(0, eta=eta)
 
-    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf])
     def test_nonpositive_rho_rejected(self, rho):
         with pytest.raises(ValueError, match="rho"):
             _spec(0, rho=rho)
