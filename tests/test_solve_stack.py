@@ -183,8 +183,8 @@ def test_degenerate_rows_in_a_stack_raise_no_warning_and_give_no_nan():
 
 def test_a_stopped_row_takes_no_later_rho_doubling():
     # both rows stall on the tight caps.  The early-stop row stops at
-    # iteration 67, before the first doubling check at 200; its
-    # neighbour runs on and doubles rho there.  The stopped row stays in
+    # iteration 67, before the first check that can double rho (200);
+    # its neighbour runs on and doubles rho there.  The stopped row stays in
     # the stack, so that check must leave its rho and trajectory alone.
     tight = dict(epsilon=0.5, eta=1.5, rho=1.0, max_iterations=300,
                  rho_schedule="adaptive")
