@@ -241,7 +241,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    # the output directory appears with the first output, so a run that
+    # fails before writing anything leaves no directory behind
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
@@ -426,7 +429,6 @@ def main(argv=None) -> int:
             raise ConfigError(section, "missing required section")
         resolved = _resolve_section(section, config[section])
 
-        os.makedirs(args.out, exist_ok=True)
         if args.command == "design":
             code, outputs = cmd_design(resolved, args.out)
             run_seed = [resolved["channel_seed"], resolved["symbol_seed"]]

@@ -375,60 +375,79 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
 
 # --- experiment 3: SER over SNR with zero-MUI baseline ----------------------
 
-def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple, trial: int,
-                received_clean: np.ndarray, sent: np.ndarray,
-                series: int) -> np.ndarray:
-    """Symbol errors of one trial's block at every SNR point.
+def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
+                open_points: np.ndarray, trials, received_clean: np.ndarray,
+                sent: np.ndarray, series: int) -> np.ndarray:
+    """Symbol errors of a chunk of trials' blocks at every open SNR point.
 
-    Point p adds noise from its own stream (trial, p, series) to the
-    noiseless received block and counts detections that differ from the
-    detected sent symbols.
+    ``received_clean`` and ``sent`` hold the chunk's noiseless received
+    blocks and sent symbols as (T, K, L) arrays, in the order of
+    ``trials``.  Open point p of trial t adds noise from its own stream
+    (t, p, series) to the noiseless block and counts detections that
+    differ from the detected sent symbols.  A closed point builds no
+    noise stream and counts 0: ``_accumulate_ser`` never reads a count
+    of a point closed at batch start, and every point draws from its
+    own stream, so skipping one leaves the others' noise unchanged.
+    Returns a (T, P) array of counts.
     """
     transmitted = detect_qpsk(sent, cfg.constellation)
-    noise = np.empty((len(sigma2s),) + sent.shape, dtype=complex)
-    for p, sigma2 in enumerate(sigma2s):
-        rng = _noise_rng(cfg, trial, p, series)
-        noise[p] = (rng.standard_normal(sent.shape)
-                    + 1j * rng.standard_normal(sent.shape))
-        noise[p] *= math.sqrt(sigma2 / 2.0)
-    detected = detect_qpsk(received_clean + noise, cfg.constellation)
-    return np.count_nonzero(detected != transmitted, axis=(1, 2))
+    points = np.flatnonzero(open_points)
+    shape = sent.shape[1:]
+    noise = np.empty((len(trials), points.size) + shape, dtype=complex)
+    for i, trial in enumerate(trials):
+        for j, p in enumerate(points):
+            rng = _noise_rng(cfg, trial, int(p), series)
+            noise[i, j] = (rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+    for j, p in enumerate(points):
+        noise[:, j] *= math.sqrt(sigma2s[p] / 2.0)
+    detected = detect_qpsk(received_clean[:, None] + noise, cfg.constellation)
+    counts = np.zeros((len(trials), len(sigma2s)), dtype=np.int64)
+    counts[:, points] = np.count_nonzero(detected != transmitted[:, None],
+                                         axis=(2, 3))
+    return counts
 
 
 def _ser_designed_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
-                         rho: float, sigma2s: tuple, trials) -> list:
-    return [_ser_counts(cfg, sigma2s, trial,
-                        channel.matrix @ result.waveform.entries,
-                        symbols.symbols, _SERIES_DESIGNED)
-            for trial, (channel, symbols, result)
-            in zip(trials, _solve_trials(cfg, trials, epsilon, eta, rho))]
+                         rho: float, sigma2s: tuple, open_points: np.ndarray,
+                         trials) -> np.ndarray:
+    solved = _solve_trials(cfg, trials, epsilon, eta, rho)
+    received = np.stack([channel.matrix @ result.waveform.entries
+                         for channel, _, result in solved])
+    sent = np.stack([symbols.symbols for _, symbols, _ in solved])
+    return _ser_counts(cfg, sigma2s, open_points, trials, received, sent,
+                       _SERIES_DESIGNED)
 
 
 def _ser_zero_mui_trials(cfg: ExperimentConfig, sigma2s: tuple,
-                         trials) -> list:
+                         open_points: np.ndarray, trials) -> np.ndarray:
     # the unit-energy zero-forcing block delivers the symbols themselves,
     # so only the symbol and noise streams are consumed
-    counts = []
-    for trial in trials:
-        symbols = draw_symbols(
+    sent = np.stack([
+        draw_symbols(
             cfg.k_users,
             cfg.n_samples,
             cfg.constellation,
             rng_seed=_stream_seed(cfg.base_seed, trial, _PURPOSE_SYMBOLS),
         ).symbols
-        counts.append(_ser_counts(cfg, sigma2s, trial, symbols, symbols,
-                                  _SERIES_ZERO_MUI))
-    return counts
+        for trial in trials
+    ])
+    return _ser_counts(cfg, sigma2s, open_points, trials, sent, sent,
+                       _SERIES_ZERO_MUI)
 
 
 def _accumulate_ser(chunk_fn, n_points: int, symbols_per_trial: int,
                     threads: int) -> dict:
     """Add whole trials per point until each has enough errors or symbols.
 
-    ``chunk_fn`` maps a chunk of trial indices to one row of per-point
-    error counts per trial.  Trials are processed in index order; a
-    point stops absorbing trials the moment its own stopping rule fires,
-    so the accumulated counts do not depend on batch size or worker
+    ``chunk_fn(open_points, trials)`` maps the open mask and a chunk of
+    trial indices to one row of per-point error counts per trial.  Each
+    batch of trials is handed a copy of the mask as it stood at batch
+    start, and ``chunk_fn`` may leave the counts of closed points at 0:
+    trials are absorbed in index order, a point stops absorbing trials
+    the moment its own stopping rule fires, and a closed point never
+    reopens, so no closed point's count is read.  The accumulated counts
+    therefore depend neither on the mask nor on batch size or worker
     count.
     """
     errors = np.zeros(n_points, dtype=np.int64)
@@ -440,7 +459,8 @@ def _accumulate_ser(chunk_fn, n_points: int, symbols_per_trial: int,
     t = 0
     while np.any(still_open) and t < cap:
         hi = min(t + batch, cap)
-        rows = _map_trials(chunk_fn, range(t, hi), threads)
+        rows = _map_trials(partial(chunk_fn, still_open.copy()),
+                           range(t, hi), threads)
         for row in rows:
             errors[still_open] += row[still_open]
             symbols[still_open] += symbols_per_trial

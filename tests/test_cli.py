@@ -130,16 +130,20 @@ class TestConfigValidation:
          cli.EXIT_BAD_CONFIG),
         ("sumrate", _experiment_config(snr_db=[0.0, 10.0]),
          cli.EXIT_BAD_CONFIG),
-        # every trial of this sweep draws a rank-deficient channel
+        # every trial of these sweeps draws a rank-deficient channel
         ("ccdf", _experiment_config(snr_convention="raw"), cli.EXIT_SINGULAR),
+        ("ser", _experiment_config(snr_convention="raw"), cli.EXIT_SINGULAR),
     ], ids=["design-8psk", "design-zf-k-above-n", "design-eta-db-overflow",
-            "ser-16qam", "sumrate-two-snr", "ccdf-raw-singular"])
+            "ser-16qam", "sumrate-two-snr", "ccdf-raw-singular",
+            "ser-raw-singular"])
     def test_library_rejections_exit_with_documented_code(
             self, tmp_path, monkeypatch, capsys, command, config, expected):
         if expected == cli.EXIT_SINGULAR:
             monkeypatch.setattr(montecarlo, "draw_channel", _rank_deficient)
-        code, _ = _run(tmp_path, command, config)
+        code, out = _run(tmp_path, command, config)
         assert code == expected
+        # nothing was written, so no output directory was made
+        assert not os.path.exists(out)
         err = capsys.readouterr().err
         if expected == cli.EXIT_BAD_CONFIG:
             assert err.startswith("isacwave: config error at ")

@@ -282,6 +282,18 @@ class TestTrialStacks:
         monkeypatch.setattr(montecarlo, name, spy)
         return calls
 
+    def _noise_streams(self, monkeypatch):
+        # the (trial, point, series) key of every noise stream built
+        streams = []
+        real = montecarlo._noise_rng
+
+        def spy(cfg, trial, *extra):
+            streams.append((trial, *extra))
+            return real(cfg, trial, *extra)
+
+        monkeypatch.setattr(montecarlo, "_noise_rng", spy)
+        return streams
+
     def test_each_grid_point_is_one_stack_with_one_reference(self, monkeypatch):
         stacks = self._spy(monkeypatch, "solve")
         references = self._spy(monkeypatch, "chirp_reference")
@@ -304,23 +316,57 @@ class TestTrialStacks:
 
     def test_ser_counts_detect_once_and_match_the_per_point_loop(
             self, monkeypatch):
-        cfg = _cfg(snr_grid_db=(0.0, 3.0, 6.0))
+        cfg = _cfg(snr_grid_db=(0.0, 3.0, 6.0, 9.0))
         sigma2s = tuple(10.0 ** (-s / 10.0) for s in cfg.snr_grid_db)
-        sent = draw_symbols(2, 8, "qpsk", rng_seed=3).symbols
+        open_points = np.array([True, True, False, True])
+        trials, series = [4, 9], 0
+        sent = np.stack([draw_symbols(2, 8, "qpsk", rng_seed=seed).symbols
+                         for seed in (3, 5)])
         received = 0.8 * sent + 0.1
-        trial, series = 4, 0
         detect = montecarlo.detect_qpsk
         detections = self._spy(monkeypatch, "detect_qpsk")
-        counts = montecarlo._ser_counts(cfg, sigma2s, trial, received, sent,
-                                        series)
+        streams = self._noise_streams(monkeypatch)
+        counts = montecarlo._ser_counts(cfg, sigma2s, open_points, trials,
+                                        received, sent, series)
         assert len(detections) == 2
+        # the closed point builds no stream and counts 0
+        assert sorted(streams) == [(trial, p, series) for trial in trials
+                                   for p in (0, 1, 3)]
+        assert counts.shape == (2, 4)
         want = []
-        for p, sigma2 in enumerate(sigma2s):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                [cfg.base_seed, trial, montecarlo._PURPOSE_NOISE, p, series]))
-            noise = (rng.standard_normal(sent.shape)
-                     + 1j * rng.standard_normal(sent.shape))
-            noise *= math.sqrt(sigma2 / 2.0)
-            want.append(int(np.count_nonzero(
-                detect(received + noise) != detect(sent))))
-        assert [int(c) for c in counts] == want
+        for i, trial in enumerate(trials):
+            row = []
+            for p, sigma2 in enumerate(sigma2s):
+                if not open_points[p]:
+                    row.append(0)
+                    continue
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    [cfg.base_seed, trial, montecarlo._PURPOSE_NOISE, p,
+                     series]))
+                noise = (rng.standard_normal(sent[i].shape)
+                         + 1j * rng.standard_normal(sent[i].shape))
+                noise *= math.sqrt(sigma2 / 2.0)
+                row.append(int(np.count_nonzero(
+                    detect(received[i] + noise) != detect(sent[i]))))
+            want.append(row)
+        assert counts.tolist() == want
+
+    def test_ser_noise_streams_only_for_points_open_at_batch_start(
+            self, monkeypatch):
+        streams = self._noise_streams(monkeypatch)
+        table = run_ser(_cfg(snr_grid_db=(0.0, 4.0, 8.0), n_trials=1,
+                             m_iter=20))
+        batch = 64  # the single-worker batch of _accumulate_ser
+        run = 0
+        for name, series in (("designed", montecarlo._SERIES_DESIGNED),
+                             ("zero_mui", montecarlo._SERIES_ZERO_MUI)):
+            used = table.metadata["series_stats"][name]["trials"]
+            # a point is open at the start of the batch beginning at trial
+            # t exactly when it absorbed trial t; every batch is full, as
+            # the symbol cap is far away
+            want = 0
+            for t in range(0, max(used), batch):
+                want += batch * sum(n > t for n in used)
+                run += batch
+            assert sum(key[-1] == series for key in streams) == want
+        assert len(streams) < run * len(table.axis_values)

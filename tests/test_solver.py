@@ -262,13 +262,16 @@ class TestSolve:
     def test_residuals_shrink_from_first_to_last_iteration(self):
         # statistical contract: the splitting improves feasibility over the
         # run in at least 95% of random instances, across loose and tight
-        # constraint combinations
+        # constraint combinations.  One stack solves every instance; its
+        # rows equal the single solves bitwise (test_solve_stack.py)
         combos = [(e, h) for e in (0.5, 1.0, 1.5) for h in (1.5, 3.0)]
-        improved = 0
         n_trials = 60
+        specs = []
         for i in range(n_trials):
             eps, eta = combos[i % 6]
-            result = solve(_spec(100 + i, epsilon=eps, eta=eta))
+            specs.append(_spec(100 + i, epsilon=eps, eta=eta))
+        improved = 0
+        for result in solve(specs):
             h = result.residual_history
             first = max(h.energy[0], h.similarity[0], h.papr[0])
             last = max(h.energy[-1], h.similarity[-1], h.papr[-1])
