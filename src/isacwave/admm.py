@@ -44,6 +44,7 @@ its later values are never read.  An epsilon = 0 row ends at iteration
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -136,8 +137,10 @@ class ProblemSpec:
             raise ValueError("rho must be finite and > 0")
         if self.rho_schedule not in RHO_SCHEDULES:
             raise ValueError(f"rho_schedule must be one of {RHO_SCHEDULES}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, numbers.Integral)
+                or self.max_iterations < 1):
+            raise ValueError("max_iterations must be an integer >= 1")
         if not self.feasibility_tolerance > 0:
             raise ValueError("feasibility_tolerance must be > 0")
         if (self.epsilon == 0 and kpi.papr(self.reference.vec)
@@ -158,8 +161,10 @@ def papr_cap(eta_db: float, n_total: int) -> float:
 
     A cap outside [1, N*L] by more than a relative 1e-9 is rejected;
     one within that slack is clamped onto the range, so the result is
-    always a valid ProblemSpec.eta.
+    always a valid ProblemSpec.eta.  n_total must be at least 1.
     """
+    if not n_total >= 1:
+        raise ValueError(f"n_total = N*L must be >= 1, got {n_total}")
     try:
         eta = 10.0 ** (eta_db / 10.0)
     except OverflowError:
@@ -362,18 +367,16 @@ def gamma_update(
 
 def dual_updates(
     state: AdmmState,
-    x_bar_new: np.ndarray,
-    alpha_new: np.ndarray,
-    beta_new: np.ndarray,
-    gamma_new: np.ndarray,
+    energy_gap: np.ndarray,
+    similarity_gap: np.ndarray,
+    papr_gap: np.ndarray,
     rho,
-    x_bar_0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascend the three duals along their consensus residuals."""
+    """Ascend the three duals along the new iterate's consensus gaps."""
     rho_row = _per_row(rho, 1)
-    u = state.u + rho_row * (x_bar_new - alpha_new)
-    v = state.v + rho_row * (x_bar_new - x_bar_0 - beta_new)
-    w = state.w + _per_row(rho, 2) * (coupling_pairs(x_bar_new) - gamma_new)
+    u = state.u + rho_row * energy_gap
+    v = state.v + rho_row * similarity_gap
+    w = state.w + _per_row(rho, 2) * papr_gap
     return u, v, w
 
 
@@ -548,16 +551,16 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
                                    fallback=state.alpha)
         state.beta = beta_update(state.x_bar, x_bar_0, state.v, rho, epsilon)
         state.gamma = gamma_update(state.x_bar, state.w, rho, eta, n_total)
-        r_energy = _row_norm(state.x_bar - state.alpha)
-        r_similarity = _row_norm(state.x_bar - x_bar_0 - state.beta)
+        energy_gap = state.x_bar - state.alpha
+        similarity_gap = state.x_bar - x_bar_0 - state.beta
         papr_gap = coupling_pairs(state.x_bar) - state.gamma
+        r_energy = _row_norm(energy_gap)
+        r_similarity = _row_norm(similarity_gap)
         r_papr = np.sqrt(np.add.reduce(
             (papr_gap * papr_gap).reshape(n_rows, -1), axis=-1))
         norms.append((r_energy, r_similarity, r_papr))
         state.u, state.v, state.w = dual_updates(
-            state, state.x_bar, state.alpha, state.beta, state.gamma, rho,
-            x_bar_0,
-        )
+            state, energy_gap, similarity_gap, papr_gap, rho)
         state.iteration = m + 1
         checks_rho = state.iteration % _RHO_CHECK_EVERY == 0
         if not (stops_early or checks_rho):

@@ -14,9 +14,11 @@ round-tripping decimal form.
 Config files are JSON with a "design" section (design command) and an
 "experiment" section (sweep commands).  Resolution order, later wins:
 file, ISAC_<SECTION>_<FIELD> environment variables, repeated --set
-section.field=value flags, then --seed.  Unknown keys anywhere are
-rejected with the offending path.  The PAPR cap is given as exactly one
-of "eta" (linear) or "eta_db".
+section.field=value flags, then --seed.  Unknown keys and malformed
+types are rejected with the offending path; an out-of-range value is
+rejected by the library object that receives it and reported at the
+section.  The PAPR cap is given as exactly one of "eta" (linear) or
+"eta_db".
 
 Exit codes: 0 success; 1 bad config or arguments, including a resolved
 config that a library constructor or driver rejects with ValueError; 2
@@ -66,18 +68,19 @@ class ConfigError(ValueError):
         super().__init__(f"config error at {path}: {message}")
 
 
-# field: (type tag, required, default); "number+" means positive scalar,
-# "grid" a nonempty number list (scalars promoted), "u64" a nonnegative int
+# field: (type tag, required, default).  Tags check JSON shape only: "int"
+# is not a bool, "number" is finite, "grid" a nonempty number list (scalars
+# promoted), "u64" fits 64 bits; the library checks every range.
 _DESIGN_FIELDS = {
-    "n_antennas": ("int+", True, None),
-    "k_users": ("int+", True, None),
-    "n_samples": ("int+", True, None),
-    "epsilon": ("number0+", True, None),
-    "eta": ("number+", False, None),
+    "n_antennas": ("int", True, None),
+    "k_users": ("int", True, None),
+    "n_samples": ("int", True, None),
+    "epsilon": ("number", True, None),
+    "eta": ("number", False, None),
     "eta_db": ("number", False, None),
-    "rho": ("number+", False, 1.0),
-    "m_iter": ("int+", False, 2000),
-    "feasibility_tolerance": ("number+", False, 1e-3),
+    "rho": ("number", False, 1.0),
+    "m_iter": ("int", False, 2000),
+    "feasibility_tolerance": ("number", False, 1e-3),
     "early_stop": ("bool", False, False),
     "channel_seed": ("u64", True, None),
     "symbol_seed": ("u64", True, None),
@@ -89,18 +92,18 @@ _DESIGN_FIELDS = {
 }
 
 _EXPERIMENT_FIELDS = {
-    "n_antennas": ("int+", True, None),
-    "k_users": ("int+", True, None),
-    "n_samples": ("int+", True, None),
+    "n_antennas": ("int", True, None),
+    "k_users": ("int", True, None),
+    "n_samples": ("int", True, None),
     "rho": ("grid", True, None),
     "eta": ("grid", False, None),
     "eta_db": ("grid", False, None),
     "epsilon": ("grid", True, None),
     "snr_db": ("grid", True, None),
-    "n_trials": ("int+", False, 200),
+    "n_trials": ("int", False, 200),
     "base_seed": ("u64", False, 0),
     "constellation": ("str", False, "qpsk"),
-    "m_iter": ("int+", False, 2000),
+    "m_iter": ("int", False, 2000),
     "snr_convention": ("str", False, "zf-normalized"),
 }
 
@@ -113,21 +116,15 @@ def _check_type(path: str, tag: str, value):
 
     is_int = isinstance(value, int) and not isinstance(value, bool)
     is_number = is_int or isinstance(value, float)
-    if tag == "int+":
-        if not is_int or value < 1:
-            fail("a positive integer")
+    if tag == "int":
+        if not is_int:
+            fail("an integer")
     elif tag == "u64":
         if not is_int or not 0 <= value < 2 ** 64:
             fail("an unsigned 64-bit integer")
     elif tag == "number":
         if not is_number or not math.isfinite(value):
             fail("a finite number")
-    elif tag == "number+":
-        if not is_number or not math.isfinite(value) or value <= 0:
-            fail("a positive number")
-    elif tag == "number0+":
-        if not is_number or not math.isfinite(value) or value < 0:
-            fail("a nonnegative number")
     elif tag == "bool":
         if not isinstance(value, bool):
             fail("true or false")
@@ -138,14 +135,8 @@ def _check_type(path: str, tag: str, value):
         entries = value if isinstance(value, list) else [value]
         if not entries:
             fail("a nonempty number or list of numbers")
-        for i, entry in enumerate(entries):
-            ok = (isinstance(entry, (int, float))
-                  and not isinstance(entry, bool)
-                  and math.isfinite(entry))
-            if not ok:
-                raise ConfigError(f"{path}[{i}]",
-                                  f"expected a finite number, got {entry!r}")
-        return [float(entry) for entry in entries]
+        return [float(_check_type(f"{path}[{i}]", "number", entry))
+                for i, entry in enumerate(entries)]
     else:  # pragma: no cover - schema typo guard
         raise AssertionError(f"unknown type tag {tag}")
     return value
@@ -154,8 +145,6 @@ def _check_type(path: str, tag: str, value):
 def _resolve_section(section: str, raw: dict) -> dict:
     """Validate one config section against its schema, filling defaults."""
     schema = _SECTIONS[section]
-    if not isinstance(raw, dict):
-        raise ConfigError(section, "expected an object")
     for key in raw:
         if key not in schema:
             raise ConfigError(f"{section}.{key}", "unknown key")
@@ -194,13 +183,6 @@ def _parse_scalar(text: str):
         return text
 
 
-def _section_dict(config: dict, section: str) -> dict:
-    entry = config.setdefault(section, {})
-    if not isinstance(entry, dict):
-        raise ConfigError(section, "expected an object")
-    return entry
-
-
 def _apply_env(config: dict, environ) -> None:
     reserved = {"ISAC_SEED", "ISAC_OUT", "ISAC_THREADS", "ISAC_CONFIG"}
     for name, value in sorted(environ.items()):
@@ -210,7 +192,7 @@ def _apply_env(config: dict, environ) -> None:
         section, _, field = remainder.partition("_")
         if section not in _SECTIONS or not field:
             raise ConfigError(name, "unrecognized environment override")
-        _section_dict(config, section)[field] = _parse_scalar(value)
+        config.setdefault(section, {})[field] = _parse_scalar(value)
 
 
 def _apply_sets(config: dict, assignments) -> None:
@@ -221,7 +203,7 @@ def _apply_sets(config: dict, assignments) -> None:
         section, dot, field = key.partition(".")
         if not dot or section not in _SECTIONS or not field:
             raise ConfigError(key, "expected <design|experiment>.<field>")
-        _section_dict(config, section)[field] = _parse_scalar(value)
+        config.setdefault(section, {})[field] = _parse_scalar(value)
 
 
 def _load_config_file(path: str) -> dict:
@@ -234,9 +216,11 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(path, f"not valid JSON ({exc})")
     if not isinstance(raw, dict):
         raise ConfigError(path, "top level must be an object")
-    for key in raw:
+    for key, section in raw.items():
         if key not in _SECTIONS:
             raise ConfigError(key, "unknown section")
+        if not isinstance(section, dict):
+            raise ConfigError(key, "expected an object")
     return raw
 
 
@@ -293,13 +277,14 @@ def _write_manifest(out_dir: str, command: str, config: dict, seed,
 
 
 def cmd_design(cfg: dict, out_dir: str):
-    [eta_db] = _eta_db_list(cfg, "design")
-    eta = papr_cap(eta_db, cfg["n_antennas"] * cfg["n_samples"])
+    # draw first: the draws name a bad count before papr_cap takes N*L
     channel, symbols = draw_instance(
         cfg["n_antennas"], cfg["k_users"], cfg["n_samples"],
         cfg["constellation"], cfg["snr_convention"], cfg["channel_seed"],
         cfg["symbol_seed"], 10.0 ** (-cfg["snr_db"] / 10.0),
     )
+    [eta_db] = _eta_db_list(cfg, "design")
+    eta = papr_cap(eta_db, cfg["n_antennas"] * cfg["n_samples"])
     reference = chirp_reference(cfg["n_antennas"], cfg["n_samples"])
     spec = ProblemSpec(
         channel=channel, symbols=symbols, reference=reference,
@@ -420,9 +405,9 @@ def main(argv=None) -> int:
 
         if seed is not None:
             if section == "experiment":
-                _section_dict(config, "experiment")["base_seed"] = seed
+                config.setdefault("experiment", {})["base_seed"] = seed
             else:
-                design = _section_dict(config, "design")
+                design = config.setdefault("design", {})
                 design.setdefault("channel_seed", seed)
                 design.setdefault("symbol_seed", seed + 1)
         if section not in config:

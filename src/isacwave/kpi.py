@@ -30,8 +30,8 @@ def _as_array(obj) -> np.ndarray:
     return np.asarray(obj)
 
 
-def mui_energy(channel, waveform, symbols) -> float:
-    """Total multi-user interference energy ||H X - S||_F^2."""
+def _interference(channel, waveform, symbols) -> np.ndarray:
+    """The residual H X - S, after checking that the shapes agree."""
     h = _as_array(channel)
     x = _as_array(waveform)
     s = _as_array(symbols)
@@ -39,7 +39,12 @@ def mui_energy(channel, waveform, symbols) -> float:
         raise ValueError(
             f"inconsistent shapes: H {h.shape}, X {x.shape}, S {s.shape}"
         )
-    return float(np.linalg.norm(h @ x - s) ** 2)
+    return h @ x - s
+
+
+def mui_energy(channel, waveform, symbols) -> float:
+    """Total multi-user interference energy ||H X - S||_F^2."""
+    return float(np.linalg.norm(_interference(channel, waveform, symbols)) ** 2)
 
 
 def sinr_per_user(channel, waveform, symbols, noise_variance: float) -> np.ndarray:
@@ -50,15 +55,8 @@ def sinr_per_user(channel, waveform, symbols, noise_variance: float) -> np.ndarr
     """
     if not noise_variance > 0:
         raise ValueError("noise_variance must be > 0")
-    h = _as_array(channel)
-    x = _as_array(waveform)
-    s = _as_array(symbols)
-    if h.shape[1] != x.shape[0] or h.shape[0] != s.shape[0] or x.shape[1] != s.shape[1]:
-        raise ValueError(
-            f"inconsistent shapes: H {h.shape}, X {x.shape}, S {s.shape}"
-        )
-    residual = h @ x - s
-    per_user_mui = np.sum(np.abs(residual) ** 2, axis=1) / s.shape[1]
+    residual = _interference(channel, waveform, symbols)
+    per_user_mui = np.sum(np.abs(residual) ** 2, axis=1) / residual.shape[1]
     return 1.0 / (per_user_mui + noise_variance)
 
 

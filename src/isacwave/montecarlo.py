@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -91,26 +92,31 @@ class ExperimentConfig:
     snr_convention: str = "zf-normalized"
 
     def __post_init__(self) -> None:
-        for name in ("n_antennas", "k_users", "n_samples", "n_trials",
-                     "m_iter"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, least in (("n_antennas", 1), ("k_users", 1),
+                            ("n_samples", 1), ("n_trials", 1), ("m_iter", 1),
+                            ("base_seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}")
+            object.__setattr__(self, name, int(value))
         if self.k_users > self.n_antennas:
             raise ValueError(
                 f"need k_users <= n_antennas, got K={self.k_users} > "
                 f"N={self.n_antennas}"
             )
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
         for name in ("rho_grid", "eta_grid_db", "epsilon_grid",
                      "snr_grid_db"):
             grid = tuple(float(g) for g in getattr(self, name))
             if not grid:
                 raise ValueError(f"{name} must be nonempty")
+            if not all(map(math.isfinite, grid)):
+                raise ValueError(f"{name} entries must be finite")
             object.__setattr__(self, name, grid)
-        if not all(r > 0 and math.isfinite(r) for r in self.rho_grid):
+        if not all(r > 0 for r in self.rho_grid):
             raise ValueError("rho_grid entries must be finite and > 0")
-        if not all(e >= 0 and math.isfinite(e) for e in self.epsilon_grid):
+        if not all(e >= 0 for e in self.epsilon_grid):
             raise ValueError("epsilon_grid entries must be finite and >= 0")
         for eta_db in self.eta_grid_db:
             papr_cap(eta_db, self.n_antennas * self.n_samples)

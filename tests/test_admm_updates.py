@@ -9,6 +9,18 @@ import numpy as np
 import pytest
 
 from isacwave import admm
+from isacwave.signal_model import (
+    ArrayConfig,
+    chirp_reference,
+    draw_channel,
+    draw_symbols,
+)
+
+
+def _gaps(x_bar, alpha, beta, gamma, x_bar_0):
+    """The three consensus gaps that dual_updates ascends along."""
+    return (x_bar - alpha, x_bar - x_bar_0 - beta,
+            admm.coupling_pairs(x_bar) - gamma)
 
 
 def _random_state(rng, n_total):
@@ -178,7 +190,8 @@ def test_dual_updates_follow_the_residuals():
     b_new = rng.standard_normal(2 * n_total)
     g_new = rng.standard_normal((n_total, 2))
     xb0 = rng.standard_normal(2 * n_total)
-    u, v, w = admm.dual_updates(state, x_new, a_new, b_new, g_new, rho, xb0)
+    u, v, w = admm.dual_updates(
+        state, *_gaps(x_new, a_new, b_new, g_new, xb0), rho)
     np.testing.assert_allclose(u, state.u + rho * (x_new - a_new))
     np.testing.assert_allclose(v, state.v + rho * (x_new - xb0 - b_new))
     np.testing.assert_allclose(w, state.w + rho * (admm.coupling_pairs(x_new) - g_new))
@@ -191,11 +204,30 @@ def test_dual_updates_fixed_under_zero_residuals():
     xb0 = rng.standard_normal(2 * n_total)
     x = state.x_bar
     u, v, w = admm.dual_updates(
-        state, x, x.copy(), x - xb0, admm.coupling_pairs(x), 2.0, xb0
+        state, *_gaps(x, x.copy(), x - xb0, admm.coupling_pairs(x), xb0), 2.0
     )
     np.testing.assert_array_equal(u, state.u)
     np.testing.assert_array_equal(v, state.v)
     np.testing.assert_array_equal(w, state.w)
+
+
+def test_each_consensus_gap_is_formed_once_per_iteration(monkeypatch):
+    # the residual norms and the dual ascent share one set of gaps, so
+    # the pair layout of x_bar is built once per iteration, not twice
+    calls = []
+    pairs = admm.coupling_pairs
+    monkeypatch.setattr(admm, "coupling_pairs",
+                        lambda x_bar: calls.append(1) or pairs(x_bar))
+    n_antennas, n_samples = 2, 4
+    spec = admm.ProblemSpec(
+        channel=draw_channel(1, ArrayConfig(n_antennas), 0.1, rng_seed=1),
+        symbols=draw_symbols(1, n_samples, "qpsk", rng_seed=2),
+        reference=chirp_reference(n_antennas, n_samples),
+        epsilon=1.0, eta=2.0, max_iterations=7,
+    )
+    result = admm.solve(spec)
+    assert result.iterations_run == 7
+    assert len(calls) == 7
 
 
 def test_coupling_pairs_matches_explicit_selector_matrices():
@@ -268,8 +300,8 @@ def test_steps_on_a_stack_equal_the_steps_on_each_row():
         admm.alpha_update(stack.x_bar, stack.u, rho),
         admm.beta_update(stack.x_bar, xb0, stack.v, rho, epsilon),
         admm.gamma_update(stack.x_bar, stack.w, rho, eta, n_total),
-        *admm.dual_updates(stack, stack.x_bar, stack.alpha, stack.beta,
-                           stack.gamma, rho, xb0),
+        *admm.dual_updates(stack, *_gaps(stack.x_bar, stack.alpha,
+                                         stack.beta, stack.gamma, xb0), rho),
         admm.coupling_pairs(stack.x_bar),
         admm.scatter_pairs(stack.gamma),
     )
@@ -279,8 +311,8 @@ def test_steps_on_a_stack_equal_the_steps_on_each_row():
             admm.alpha_update(s.x_bar, s.u, rho[i]),
             admm.beta_update(s.x_bar, xb0[i], s.v, rho[i], epsilon[i]),
             admm.gamma_update(s.x_bar, s.w, rho[i], eta[i], n_total),
-            *admm.dual_updates(s, s.x_bar, s.alpha, s.beta, s.gamma, rho[i],
-                               xb0[i]),
+            *admm.dual_updates(s, *_gaps(s.x_bar, s.alpha, s.beta, s.gamma,
+                                         xb0[i]), rho[i]),
             admm.coupling_pairs(s.x_bar),
             admm.scatter_pairs(s.gamma),
         )

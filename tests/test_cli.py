@@ -102,15 +102,40 @@ class TestConfigValidation:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_BAD_CONFIG
 
+    # a bare field is a design field; "experiment." marks an experiment
+    # field, run through ccdf.  Range errors come from the library, which
+    # may name a field its own way.
     @pytest.mark.parametrize("field,value", [
         ("n_antennas", 0), ("n_antennas", 2.5), ("epsilon", -1.0),
         ("rho", 0.0), ("m_iter", True), ("channel_seed", -1),
         ("snr_convention", "bogus"),
+        ("n_antennas", -1), ("k_users", 0), ("k_users", -1),
+        ("n_samples", 0), ("n_samples", -1), ("epsilon", -1e-9),
+        ("eta", 0.0), ("eta", -2.0), ("eta", 0.5), ("rho", -1.0),
+        ("m_iter", 0), ("m_iter", -1), ("m_iter", 2.5),
+        ("feasibility_tolerance", 0.0), ("feasibility_tolerance", -1.0),
+        ("experiment.n_antennas", 0), ("experiment.n_antennas", -1),
+        ("experiment.k_users", 0), ("experiment.k_users", -1),
+        ("experiment.n_samples", 0), ("experiment.n_samples", -1),
+        ("experiment.n_trials", 0), ("experiment.n_trials", -1),
+        ("experiment.n_trials", 2.5), ("experiment.n_trials", True),
+        ("experiment.m_iter", 0), ("experiment.m_iter", -1),
+        ("experiment.m_iter", 2.5), ("experiment.rho", 0.0),
     ])
-    def test_bad_field_values(self, tmp_path, field, value):
-        config = _design_config(**{field: value})
-        code, _ = _run(tmp_path, "design", config)
+    def test_bad_field_values(self, tmp_path, capsys, field, value):
+        section, _, name = field.rpartition(".")
+        if section == "experiment":
+            command, config = "ccdf", _experiment_config(**{name: value})
+        else:
+            command, config = "design", _design_config(**{name: value})
+        library_name = {"m_iter": "max_iterations",
+                        "experiment.rho": "rho_grid"}.get(field, name)
+        code, out = _run(tmp_path, command, config)
         assert code == cli.EXIT_BAD_CONFIG
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("isacwave: config error at ")
+        assert name in err or library_name in err
 
     def test_experiment_section_required_for_sweeps(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "ccdf", _design_config())

@@ -31,6 +31,11 @@ def test_mui_energy_rejects_inconsistent_shapes():
         kpi.mui_energy(np.eye(2), np.ones((3, 4)), np.ones((2, 4)))
 
 
+def test_sinr_rejects_inconsistent_shapes():
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        kpi.sinr_per_user(np.eye(2), np.ones((2, 4)), np.ones((2, 5)), 0.1)
+
+
 def test_sinr_equals_snr_when_interference_vanishes():
     # Zero interference and noise variance 0.1 give SINR exactly 10.
     s = sm.draw_symbols(2, 16, "qpsk", rng_seed=3)

@@ -1,5 +1,6 @@
 """Tests of the seeded experiment harness and its detectors."""
 
+import json
 import math
 
 import numpy as np
@@ -60,6 +61,16 @@ class TestExperimentConfig:
         ("snr_convention", "whatever"),
         ("rho_grid", (math.inf,)),
         ("epsilon_grid", (math.inf,)),
+        ("snr_grid_db", (math.nan,)),
+        ("snr_grid_db", (math.inf,)),
+        ("n_antennas", 4.5),
+        ("k_users", True),
+        ("n_samples", 8.0),
+        ("n_trials", 2.5),
+        ("n_trials", True),
+        ("m_iter", 2.5),
+        ("base_seed", 1.5),
+        ("base_seed", False),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises((ValueError, KeyError)):
@@ -68,6 +79,13 @@ class TestExperimentConfig:
     def test_more_users_than_antennas_rejected(self):
         with pytest.raises(ValueError):
             _cfg(k_users=5)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = _cfg(n_trials=np.int64(3), m_iter=np.int32(5),
+                   base_seed=np.uint64(7))
+        assert (cfg.n_trials, cfg.m_iter, cfg.base_seed) == (3, 5, 7)
+        assert type(cfg.n_trials) is int
+        json.dumps(cfg.as_dict())
 
     def test_as_dict_round_trips(self):
         cfg = _cfg()

@@ -8,6 +8,7 @@ import pytest
 from isacwave.admm import (
     ProblemSpec,
     SingularChannelError,
+    papr_cap,
     solve,
     zero_forcing_target,
 )
@@ -107,6 +108,20 @@ class TestProblemSpecValidation:
     def test_zero_iteration_budget_rejected(self):
         with pytest.raises(ValueError, match="max_iterations"):
             _spec(0, max_iterations=0)
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True])
+    def test_non_integral_iteration_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="max_iterations"):
+            _spec(0, max_iterations=budget)
+
+    @pytest.mark.parametrize("n_total", [0, -8])
+    def test_papr_cap_rejects_a_block_without_samples(self, n_total):
+        with pytest.raises(ValueError, match=r"N\*L must be >= 1"):
+            papr_cap(3.0, n_total)
+
+    def test_numpy_integer_iteration_budget_accepted(self):
+        result = solve(_spec(0, max_iterations=np.int64(3)))
+        assert result.iterations_run == 3
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
