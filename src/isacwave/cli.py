@@ -50,7 +50,7 @@ from .montecarlo import (
     run_ser,
     run_sumrate,
 )
-from .signal_model import chirp_reference
+from .signal_model import chirp_reference, snr_noise_variance
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -281,7 +281,7 @@ def cmd_design(cfg: dict, out_dir: str):
     channel, symbols = draw_instance(
         cfg["n_antennas"], cfg["k_users"], cfg["n_samples"],
         cfg["constellation"], cfg["snr_convention"], cfg["channel_seed"],
-        cfg["symbol_seed"], 10.0 ** (-cfg["snr_db"] / 10.0),
+        cfg["symbol_seed"], snr_noise_variance(cfg["snr_db"]),
     )
     [eta_db] = _eta_db_list(cfg, "design")
     eta = papr_cap(eta_db, cfg["n_antennas"] * cfg["n_samples"])

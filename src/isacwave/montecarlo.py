@@ -41,6 +41,7 @@ from .signal_model import (
     constellation_points,
     draw_channel,
     draw_symbols,
+    snr_noise_variance,
     unvec,
 )
 
@@ -120,7 +121,10 @@ class ExperimentConfig:
             raise ValueError("epsilon_grid entries must be finite and >= 0")
         for eta_db in self.eta_grid_db:
             papr_cap(eta_db, self.n_antennas * self.n_samples)
+        for snr_db in self.snr_grid_db:
+            snr_noise_variance(snr_db)
         constellation_points(self.constellation)  # rejects unknown names
+        object.__setattr__(self, "constellation", self.constellation.lower())
         if self.snr_convention not in SNR_CONVENTIONS:
             raise ValueError(
                 f"snr_convention must be one of {SNR_CONVENTIONS}"
@@ -266,6 +270,19 @@ def detect_qpsk(received, constellation="qpsk") -> np.ndarray:
     return np.argmin(np.abs(y[..., None] - points), axis=-1)
 
 
+def _labelled(pairs) -> dict:
+    """Dict of (series label, grid entry) pairs, rejecting a repeated
+    label: grid entries that print alike would overwrite each other's
+    series after both were solved."""
+    grid = {}
+    for label, entry in pairs:
+        if label in grid:
+            raise ValueError(f"two grid entries share the series label "
+                             f"{label!r}")
+        grid[label] = entry
+    return grid
+
+
 # --- experiment 1: PAPR CCDF over (rho, eta) --------------------------------
 
 def _ccdf_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
@@ -280,14 +297,14 @@ def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     Uses epsilon_grid[0] as the similarity radius of every solve.
     """
     epsilon = cfg.epsilon_grid[0]
+    grid = _labelled((f"rho={rho:g},eta={eta_db:g}dB", (rho, eta_db))
+                     for rho in cfg.rho_grid for eta_db in cfg.eta_grid_db)
     series = {}
-    for rho in cfg.rho_grid:
-        for eta_db in cfg.eta_grid_db:
-            eta = papr_cap(eta_db, cfg.n_antennas * cfg.n_samples)
-            fn = partial(_ccdf_trials, cfg, epsilon, eta, rho)
-            samples = np.array(_map_trials(fn, range(cfg.n_trials), threads))
-            label = f"rho={rho:g},eta={eta_db:g}dB"
-            series[label] = kpi.ccdf(samples, _GAMMA_GRID_DB)
+    for label, (rho, eta_db) in grid.items():
+        eta = papr_cap(eta_db, cfg.n_antennas * cfg.n_samples)
+        fn = partial(_ccdf_trials, cfg, epsilon, eta, rho)
+        samples = np.array(_map_trials(fn, range(cfg.n_trials), threads))
+        series[label] = kpi.ccdf(samples, _GAMMA_GRID_DB)
     return CurveTable(
         axis_name="gamma_db",
         axis_values=_GAMMA_GRID_DB.copy(),
@@ -348,9 +365,11 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
             return 0.0
         return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
+    grid = _labelled((f"eta={10.0 ** (eta_db / 10.0):g}", eta_db)
+                     for eta_db in cfg.eta_grid_db)
     series = {}
     sems = {}
-    for eta_db in cfg.eta_grid_db:
+    for label, eta_db in grid.items():
         eta = papr_cap(eta_db, cfg.n_antennas * cfg.n_samples)
         rates = np.empty(axis.size)
         errs = np.empty(axis.size)
@@ -360,7 +379,6 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
             per_trial = _map_trials(fn, trials, threads)
             rates[j] = np.mean(per_trial)
             errs[j] = _sem(per_trial)
-        label = f"eta={10.0 ** (eta_db / 10.0):g}"
         series[label] = rates
         sems[label] = [float(e) for e in errs]
 
@@ -390,10 +408,10 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
     blocks and sent symbols as (T, K, L) arrays, in the order of
     ``trials``.  Open point p of trial t adds noise from its own stream
     (t, p, series) to the noiseless block and counts detections that
-    differ from the detected sent symbols.  A closed point builds no
-    noise stream and counts 0: ``_accumulate_ser`` never reads a count
-    of a point closed at batch start, and every point draws from its
-    own stream, so skipping one leaves the others' noise unchanged.
+    differ from the detected sent symbols.  A point closed at batch
+    start builds no noise stream and counts 0: ``_accumulate_ser`` never
+    reads its count, and every point draws from its own stream, so
+    skipping one leaves the others' noise unchanged.
     Returns a (T, P) array of counts.
     """
     transmitted = detect_qpsk(sent, cfg.constellation)
@@ -443,45 +461,32 @@ def _ser_zero_mui_trials(cfg: ExperimentConfig, sigma2s: tuple,
 
 
 def _accumulate_ser(chunk_fn, n_points: int, symbols_per_trial: int,
-                    threads: int) -> dict:
-    """Add whole trials per point until each has enough errors or symbols.
+                    threads: int):
+    """Per-point (errors, trials) under the SER stopping rule.
 
-    ``chunk_fn(open_points, trials)`` maps the open mask and a chunk of
-    trial indices to one row of per-point error counts per trial.  Each
-    batch of trials is handed a copy of the mask as it stood at batch
-    start, and ``chunk_fn`` may leave the counts of closed points at 0:
-    trials are absorbed in index order, a point stops absorbing trials
-    the moment its own stopping rule fires, and a closed point never
-    reopens, so no closed point's count is read.  The accumulated counts
-    therefore depend neither on the mask nor on batch size or worker
-    count.
+    ``chunk_fn(open_points, trials)`` maps the mask of points open at
+    batch start and a chunk of trial indices to one row of per-point
+    error counts per trial.  In trial order, an open point absorbs rows
+    up to the first that brings its errors to _MIN_ERRORS; counts of
+    points closed at batch start are never read.  The trial loop ends at
+    the symbol budget.
     """
     errors = np.zeros(n_points, dtype=np.int64)
-    symbols = np.zeros(n_points, dtype=np.int64)
-    trials_used = np.zeros(n_points, dtype=np.int64)
-    still_open = np.ones(n_points, dtype=bool)
+    trials = np.zeros(n_points, dtype=np.int64)
     cap = math.ceil(_MAX_SYMBOLS / symbols_per_trial)
     batch = max(64, 16 * max(threads, 1))
-    t = 0
-    while np.any(still_open) and t < cap:
-        hi = min(t + batch, cap)
-        rows = _map_trials(partial(chunk_fn, still_open.copy()),
-                           range(t, hi), threads)
-        for row in rows:
-            errors[still_open] += row[still_open]
-            symbols[still_open] += symbols_per_trial
-            trials_used[still_open] += 1
-            still_open &= ~((errors >= _MIN_ERRORS)
-                            | (symbols >= _MAX_SYMBOLS))
-            if not np.any(still_open):
-                break
-        t = hi
-    return {
-        "errors": errors,
-        "symbols": symbols,
-        "trials": trials_used,
-        "ser": errors / np.maximum(symbols, 1),
-    }
+    for t in range(0, cap, batch):
+        open_points = errors < _MIN_ERRORS
+        if not open_points.any():
+            break
+        rows = np.array(_map_trials(partial(chunk_fn, open_points),
+                                    range(t, min(t + batch, cap)), threads))
+        # a row is absorbed while the errors before it fall short, which
+        # turns away every row of a point closed at batch start
+        absorbed = errors + np.cumsum(rows, axis=0) - rows < _MIN_ERRORS
+        errors += np.sum(rows, axis=0, where=absorbed)
+        trials += np.count_nonzero(absorbed, axis=0)
+    return errors, trials
 
 
 def run_ser(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
@@ -494,34 +499,31 @@ def run_ser(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     """
     if cfg.constellation != "qpsk":
         raise ValueError("run_ser is defined for the qpsk constellation")
-    sigma2s = tuple(10.0 ** (-snr_db / 10.0) for snr_db in cfg.snr_grid_db)
-    n_points = len(sigma2s)
+    sigma2s = tuple(map(snr_noise_variance, cfg.snr_grid_db))
     per_trial = cfg.k_users * cfg.n_samples
     epsilon = cfg.epsilon_grid[0]
     eta = papr_cap(cfg.eta_grid_db[0], cfg.n_antennas * cfg.n_samples)
     rho = cfg.rho_grid[0]
 
-    designed = _accumulate_ser(
-        partial(_ser_designed_trials, cfg, epsilon, eta, rho, sigma2s),
-        n_points, per_trial, threads,
-    )
-    zero_mui = _accumulate_ser(
-        partial(_ser_zero_mui_trials, cfg, sigma2s),
-        n_points, per_trial, threads=1,  # no solves, pool overhead dominates
-    )
-
-    stats = {
-        label: {
-            "errors": [int(e) for e in acc["errors"]],
-            "symbols": [int(s) for s in acc["symbols"]],
-            "trials": [int(n) for n in acc["trials"]],
-        }
-        for label, acc in (("designed", designed), ("zero_mui", zero_mui))
-    }
+    series, stats = {}, {}
+    for label, chunk_fn, workers in (
+        ("designed",
+         partial(_ser_designed_trials, cfg, epsilon, eta, rho, sigma2s),
+         threads),
+        # no solves, so pool overhead would dominate
+        ("zero_mui", partial(_ser_zero_mui_trials, cfg, sigma2s), 1),
+    ):
+        errors, trials = _accumulate_ser(chunk_fn, len(sigma2s), per_trial,
+                                         workers)
+        symbols = trials * per_trial
+        series[label] = errors / symbols
+        stats[label] = {"errors": errors.tolist(),
+                        "symbols": symbols.tolist(),
+                        "trials": trials.tolist()}
     return CurveTable(
         axis_name="snr_db",
         axis_values=np.array(cfg.snr_grid_db, dtype=float),
-        series={"designed": designed["ser"], "zero_mui": zero_mui["ser"]},
+        series=series,
         metadata=_metadata(cfg, epsilon=epsilon, eta_db=cfg.eta_grid_db[0],
                            rho=rho, series_stats=stats),
     )

@@ -17,6 +17,7 @@ blocks carry unit total energy ||X0||_F = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,25 @@ class ChannelRealization:
     @property
     def n_antennas(self) -> int:
         return self.matrix.shape[1]
+
+
+def snr_noise_variance(snr_db: float) -> float:
+    """Receiver noise variance 10^(-snr_db/10) of an SNR given in dB.
+
+    An snr_db whose linear SNR or noise variance is 0 or not finite is
+    rejected, so no caller meets an overflow or a zero-noise link.
+    """
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+        noise_variance = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        snr = noise_variance = math.inf
+    if not (0.0 < snr < math.inf and 0.0 < noise_variance < math.inf):
+        raise ValueError(
+            f"snr_db = {snr_db:g} dB must give a linear SNR and a noise "
+            "variance that are finite and > 0"
+        )
+    return noise_variance
 
 
 def draw_channel(

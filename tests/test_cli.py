@@ -146,23 +146,45 @@ class TestConfigValidation:
         code, _ = _run(tmp_path, "design", _design_config(eta=0.5))
         assert code == cli.EXIT_BAD_CONFIG
 
-    @pytest.mark.parametrize("command,config,expected", [
-        ("design", _design_config(constellation="8psk"), cli.EXIT_BAD_CONFIG),
+    # each message holds a fragment naming what was rejected: the field,
+    # the rule, or for exit 3 the dependent channel
+    @pytest.mark.parametrize("command,config,expected,named", [
+        ("design", _design_config(constellation="8psk"), cli.EXIT_BAD_CONFIG,
+         "constellation"),
         ("design", _design_config(snr_convention="zf-normalized", k_users=5),
-         cli.EXIT_BAD_CONFIG),
-        ("design", _design_config(eta=None, eta_db=1e4), cli.EXIT_BAD_CONFIG),
+         cli.EXIT_BAD_CONFIG, "k_users"),
+        ("design", _design_config(eta=None, eta_db=1e4), cli.EXIT_BAD_CONFIG,
+         "eta"),
         ("ser", _experiment_config(constellation="16qam"),
-         cli.EXIT_BAD_CONFIG),
+         cli.EXIT_BAD_CONFIG, "qpsk"),
         ("sumrate", _experiment_config(snr_db=[0.0, 10.0]),
-         cli.EXIT_BAD_CONFIG),
+         cli.EXIT_BAD_CONFIG, "SNR"),
         # every trial of these sweeps draws a rank-deficient channel
-        ("ccdf", _experiment_config(snr_convention="raw"), cli.EXIT_SINGULAR),
-        ("ser", _experiment_config(snr_convention="raw"), cli.EXIT_SINGULAR),
+        ("ccdf", _experiment_config(snr_convention="raw"), cli.EXIT_SINGULAR,
+         "dependent"),
+        ("ser", _experiment_config(snr_convention="raw"), cli.EXIT_SINGULAR,
+         "dependent"),
+        # a linear SNR or noise variance of 0 or inf
+        ("design", _design_config(snr_db=-4000.0), cli.EXIT_BAD_CONFIG,
+         "snr_db"),
+        ("design", _design_config(snr_db=4000.0), cli.EXIT_BAD_CONFIG,
+         "snr_db"),
+        ("ser", _experiment_config(snr_db=[-4000.0]), cli.EXIT_BAD_CONFIG,
+         "snr_db"),
+        ("ser", _experiment_config(snr_db=[4000.0]), cli.EXIT_BAD_CONFIG,
+         "snr_db"),
+        ("sumrate", _experiment_config(snr_db=[-4000.0]),
+         cli.EXIT_BAD_CONFIG, "snr_db"),
+        ("sumrate", _experiment_config(snr_db=[4000.0]), cli.EXIT_BAD_CONFIG,
+         "snr_db"),
     ], ids=["design-8psk", "design-zf-k-above-n", "design-eta-db-overflow",
             "ser-16qam", "sumrate-two-snr", "ccdf-raw-singular",
-            "ser-raw-singular"])
+            "ser-raw-singular", "design-snr-low", "design-snr-high",
+            "ser-snr-low", "ser-snr-high", "sumrate-snr-low",
+            "sumrate-snr-high"])
     def test_library_rejections_exit_with_documented_code(
-            self, tmp_path, monkeypatch, capsys, command, config, expected):
+            self, tmp_path, monkeypatch, capsys, command, config, expected,
+            named):
         if expected == cli.EXIT_SINGULAR:
             monkeypatch.setattr(montecarlo, "draw_channel", _rank_deficient)
         code, out = _run(tmp_path, command, config)
@@ -172,8 +194,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         if expected == cli.EXIT_BAD_CONFIG:
             assert err.startswith("isacwave: config error at ")
-        else:
-            assert "dependent" in err
+        assert named in err
 
 
 class TestOverrides:

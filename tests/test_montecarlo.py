@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isacwave import montecarlo
 from isacwave.kpi import sinr_per_user
@@ -63,6 +66,8 @@ class TestExperimentConfig:
         ("epsilon_grid", (math.inf,)),
         ("snr_grid_db", (math.nan,)),
         ("snr_grid_db", (math.inf,)),
+        ("snr_grid_db", (4000.0,)),
+        ("snr_grid_db", (-4000.0,)),
         ("n_antennas", 4.5),
         ("k_users", True),
         ("n_samples", 8.0),
@@ -181,6 +186,22 @@ class TestRunCcdf:
             np.testing.assert_array_equal(a.series[label], b.series[label])
 
 
+class TestSeriesLabels:
+    @pytest.mark.parametrize("driver,grid,label", [
+        (run_ccdf, {"rho_grid": (1.0, 1.0000001)}, "rho=1,eta=4dB"),
+        (run_sumrate, {"eta_grid_db": (10.0 * math.log10(1.25),
+                                       10.0 * math.log10(1.2500001))},
+         "eta=1.25"),
+    ], ids=["ccdf", "sumrate"])
+    def test_entries_that_print_alike_are_rejected_before_any_solve(
+            self, monkeypatch, driver, grid, label):
+        solves = []
+        monkeypatch.setattr(montecarlo, "solve", solves.append)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            driver(_cfg(**grid))
+        assert solves == []
+
+
 class TestRunSumrate:
     def test_single_snr_required(self):
         with pytest.raises(ValueError, match="SNR"):
@@ -227,6 +248,11 @@ class TestRunSer:
     def test_requires_qpsk(self):
         with pytest.raises(ValueError, match="qpsk"):
             run_ser(_cfg(constellation="16qam"))
+
+    def test_accepts_qpsk_in_any_case(self):
+        cfg = _cfg(constellation="QPSK", snr_grid_db=(0.0,), m_iter=20)
+        assert cfg.constellation == "qpsk"
+        assert run_ser(cfg).metadata["config"]["constellation"] == "qpsk"
 
     def test_zero_mui_tracks_analytic_curve(self):
         cfg = _cfg(snr_grid_db=(0.0, 4.0), n_trials=1, m_iter=80)
@@ -388,3 +414,70 @@ class TestTrialStacks:
                 run += batch
             assert sum(key[-1] == series for key in streams) == want
         assert len(streams) < run * len(table.axis_values)
+
+
+def _accumulate_ser_per_row(chunk_fn, n_points, symbols_per_trial):
+    """The per-row loop that the batch cut of _accumulate_ser replaced,
+    kept as its reference (one worker, batches of 64)."""
+    errors = np.zeros(n_points, dtype=np.int64)
+    symbols = np.zeros(n_points, dtype=np.int64)
+    trials_used = np.zeros(n_points, dtype=np.int64)
+    still_open = np.ones(n_points, dtype=bool)
+    cap = math.ceil(montecarlo._MAX_SYMBOLS / symbols_per_trial)
+    t = 0
+    while np.any(still_open) and t < cap:
+        hi = min(t + 64, cap)
+        for row in chunk_fn(still_open.copy(), range(t, hi)):
+            errors[still_open] += row[still_open]
+            symbols[still_open] += symbols_per_trial
+            trials_used[still_open] += 1
+            still_open &= ~((errors >= montecarlo._MIN_ERRORS)
+                            | (symbols >= montecarlo._MAX_SYMBOLS))
+            if not np.any(still_open):
+                break
+        t = hi
+    return errors, trials_used
+
+
+class TestSerStoppingRule:
+    # per-trial error rates: 30 closes a point within a few trials, 1.6
+    # near the end of the first batch of 64, 1 in the second, 0.3 seldom
+    # before the symbol cap, 0 never
+    RATES = (0.0, 0.3, 1.0, 1.6, 4.0, 30.0)
+
+    def _compare(self, seed, rates, symbols_per_trial):
+        cap = math.ceil(montecarlo._MAX_SYMBOLS / symbols_per_trial)
+        counts = np.random.default_rng(seed).poisson(
+            rates, size=(cap, len(rates)))
+        batches = {"cut": [], "loop": []}
+
+        def chunk_fn(log, open_points, trials):
+            log.append((open_points.tolist(), list(trials)))
+            rows = counts[list(trials)]
+            # a point closed at batch start gets a count never to be read
+            return np.where(open_points, rows, rows + 1)
+
+        got = montecarlo._accumulate_ser(
+            partial(chunk_fn, batches["cut"]), len(rates), symbols_per_trial,
+            threads=1)
+        want = _accumulate_ser_per_row(
+            partial(chunk_fn, batches["loop"]), len(rates), symbols_per_trial)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert batches["cut"] == batches["loop"]
+        return got[1].tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           rates=st.lists(st.sampled_from(RATES), min_size=1, max_size=4),
+           symbols_per_trial=st.integers(3_000, 1_000_001))
+    def test_batch_cut_matches_the_per_row_loop(self, seed, rates,
+                                                symbols_per_trial):
+        self._compare(seed, rates, symbols_per_trial)
+
+    def test_points_close_mid_batch_in_a_later_batch_and_at_the_cap(self):
+        # 7,000 symbols per trial cap a point at 143 trials: batches of
+        # 64, 64 and 15
+        trials = self._compare(3, [30.0, 1.0, 0.3], 7_000)
+        assert trials[0] < 64
+        assert 64 < trials[1] < 128
+        assert trials[2] == 143
