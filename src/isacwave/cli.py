@@ -14,11 +14,13 @@ round-tripping decimal form.
 Config files are JSON with a "design" section (design command) and an
 "experiment" section (sweep commands).  Resolution order, later wins:
 file, ISAC_<SECTION>_<FIELD> environment variables, repeated --set
-section.field=value flags, then --seed.  Unknown keys and malformed
-types are rejected with the offending path; an out-of-range value is
-rejected by the library object that receives it and reported at the
-section.  The PAPR cap is given as exactly one of "eta" (linear) or
-"eta_db".
+section.field=value flags, then --seed.  --config, --out, --seed and
+--threads are flags only; any other ISAC_* variable is rejected.
+--threads sets the worker processes of a sweep; design runs no trials
+and ignores it.  Unknown keys and malformed types are rejected with the
+offending path; an out-of-range value, --threads included, is rejected
+by the library object that receives it and reported at the section.
+The PAPR cap is given as exactly one of "eta" (linear) or "eta_db".
 
 Exit codes: 0 success; 1 bad config or arguments, including a resolved
 config that a library constructor or driver rejects with ValueError; 2
@@ -38,8 +40,6 @@ import os
 import sys
 import tempfile
 import time
-
-import numpy as np
 
 from . import __version__, kpi
 from .admm import ProblemSpec, SingularChannelError, papr_cap, solve
@@ -176,23 +176,27 @@ def _eta_db_list(section_cfg: dict, path: str) -> list:
     return [10.0 * math.log10(value) for value in values]
 
 
-def _parse_scalar(text: str):
+def _override(config: dict, path: str, section: str, field: str,
+              text: str) -> None:
+    """Store one override of section.field, reported at ``path``.  The
+    value is parsed as JSON, or kept as a string if it is not JSON."""
+    if section not in _SECTIONS or not field:
+        raise ConfigError(path, "expected an override of "
+                                "<design|experiment>.<field>")
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError:
-        return text
+        value = text
+    config.setdefault(section, {})[field] = value
 
 
 def _apply_env(config: dict, environ) -> None:
-    reserved = {"ISAC_SEED", "ISAC_OUT", "ISAC_THREADS", "ISAC_CONFIG"}
     for name, value in sorted(environ.items()):
-        if not name.startswith(_ENV_PREFIX) or name in reserved:
-            continue
-        remainder = name[len(_ENV_PREFIX):].lower()
-        section, _, field = remainder.partition("_")
-        if section not in _SECTIONS or not field:
-            raise ConfigError(name, "unrecognized environment override")
-        config.setdefault(section, {})[field] = _parse_scalar(value)
+        if name.startswith(_ENV_PREFIX):
+            # the section ends at the first underscore: ISAC_DESIGN_M_ITER
+            # is design.m_iter
+            section, _, field = name[len(_ENV_PREFIX):].lower().partition("_")
+            _override(config, name, section, field, value)
 
 
 def _apply_sets(config: dict, assignments) -> None:
@@ -200,10 +204,8 @@ def _apply_sets(config: dict, assignments) -> None:
         key, sep, value = assignment.partition("=")
         if not sep:
             raise ConfigError(assignment, "expected section.field=value")
-        section, dot, field = key.partition(".")
-        if not dot or section not in _SECTIONS or not field:
-            raise ConfigError(key, "expected <design|experiment>.<field>")
-        config.setdefault(section, {})[field] = _parse_scalar(value)
+        section, _, field = key.partition(".")
+        _override(config, key, section, field, value)
 
 
 def _load_config_file(path: str) -> dict:
@@ -240,24 +242,15 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return str(value)
-
-
 def _table_to_csv(table) -> str:
     labels = list(table.series)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([table.axis_name] + labels)
-    axis = np.asarray(table.axis_values)
-    columns = [np.asarray(table.series[label]) for label in labels]
-    for i in range(axis.size):
-        writer.writerow([_format_value(axis[i])]
-                        + [_format_value(col[i]) for col in columns])
+    # every axis and series is float64; CurveTable checks equal lengths
+    for row in zip(table.axis_values,
+                   *(table.series[label] for label in labels)):
+        writer.writerow([repr(float(value)) for value in row])
     return buffer.getvalue()
 
 
@@ -358,11 +351,11 @@ def _parse_args(argv):
     )
     parser.add_argument("command", choices=["design", "ccdf", "sumrate",
                                             "ser"])
-    parser.add_argument("--config", required=False,
-                        default=os.environ.get("ISAC_CONFIG"),
+    # optional here, so a missing config exits 1 like any bad config
+    parser.add_argument("--config",
                         help="path to a JSON config with design/experiment "
                              "sections")
-    parser.add_argument("--out", default=os.environ.get("ISAC_OUT", "out"),
+    parser.add_argument("--out", default="out",
                         help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override experiment.base_seed; for design, "
@@ -370,19 +363,10 @@ def _parse_args(argv):
     parser.add_argument("--set", action="append", dest="assignments",
                         metavar="SECTION.FIELD=VALUE",
                         help="override one config field (repeatable)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes for experiment trials")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes for experiment trials "
+                             "(design ignores it)")
     return parser.parse_args(argv)
-
-
-def _env_int(name: str):
-    value = os.environ.get(name)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(name, f"expected an integer, got {value!r}")
 
 
 def main(argv=None) -> int:
@@ -392,24 +376,17 @@ def main(argv=None) -> int:
     try:
         if not args.config:
             raise ConfigError("--config", "a config file is required")
-        seed = args.seed if args.seed is not None else _env_int("ISAC_SEED")
-        threads = (args.threads if args.threads is not None
-                   else _env_int("ISAC_THREADS"))
-        if threads is None:
-            threads = 1
-        if threads < 1:
-            raise ConfigError("--threads", "must be >= 1")
         config = _load_config_file(args.config)
         _apply_env(config, os.environ)
         _apply_sets(config, args.assignments)
 
-        if seed is not None:
+        if args.seed is not None:
             if section == "experiment":
-                config.setdefault("experiment", {})["base_seed"] = seed
+                config.setdefault("experiment", {})["base_seed"] = args.seed
             else:
                 design = config.setdefault("design", {})
-                design.setdefault("channel_seed", seed)
-                design.setdefault("symbol_seed", seed + 1)
+                design.setdefault("channel_seed", args.seed)
+                design.setdefault("symbol_seed", args.seed + 1)
         if section not in config:
             raise ConfigError(section, "missing required section")
         resolved = _resolve_section(section, config[section])
@@ -419,7 +396,7 @@ def main(argv=None) -> int:
             run_seed = [resolved["channel_seed"], resolved["symbol_seed"]]
         else:
             code, outputs = cmd_experiment(args.command, resolved, args.out,
-                                           threads)
+                                           args.threads)
             run_seed = resolved["base_seed"]
         _write_manifest(args.out, args.command, {section: resolved},
                         run_seed, time.time() - started, outputs)

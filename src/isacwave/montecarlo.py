@@ -245,21 +245,32 @@ def _solve_trials(cfg: ExperimentConfig, trials, epsilon: float,
             for (channel, symbols), result in zip(instances, results)]
 
 
+def _worker_count(threads) -> int:
+    """``threads`` as an int, rejecting a value that is not an integer
+    >= 1 or is a bool."""
+    if (isinstance(threads, bool) or not isinstance(threads, numbers.Integral)
+            or threads < 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    return int(threads)
+
+
 def _map_trials(fn, trials, threads: int) -> list:
     """Per-trial results of ``fn``, which maps a chunk of trial indices
     to one result per trial.
 
     Each call gets a contiguous chunk of at most _CHUNK_TRIALS trials,
-    one or more per worker process.  Results come back in trial order and
-    do not depend on the chunking.
+    one or more per worker process, and the pool starts no more workers
+    than there are chunks.  Results come back in trial order and do not
+    depend on the chunking.
     """
+    threads = _worker_count(threads)
     trials = list(trials)
-    per_worker = math.ceil(len(trials) / max(threads, 1))
-    size = max(1, min(_CHUNK_TRIALS, per_worker))
+    size = max(1, min(_CHUNK_TRIALS, math.ceil(len(trials) / threads)))
     chunks = [trials[i:i + size] for i in range(0, len(trials), size)]
-    if threads <= 1 or len(trials) <= 1:
+    workers = min(threads, len(chunks))
+    if workers <= 1:
         return [row for chunk in chunks for row in fn(chunk)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return [row for rows in pool.map(fn, chunks) for row in rows]
 
 
@@ -474,7 +485,7 @@ def _accumulate_ser(chunk_fn, n_points: int, symbols_per_trial: int,
     errors = np.zeros(n_points, dtype=np.int64)
     trials = np.zeros(n_points, dtype=np.int64)
     cap = math.ceil(_MAX_SYMBOLS / symbols_per_trial)
-    batch = max(64, 16 * max(threads, 1))
+    batch = max(64, 16 * _worker_count(threads))
     for t in range(0, cap, batch):
         open_points = errors < _MIN_ERRORS
         if not open_points.any():

@@ -39,6 +39,8 @@ def constellation_points(name: str) -> np.ndarray:
     name : str
         "qpsk" or "16qam" (case-insensitive).
     """
+    if not isinstance(name, str):
+        raise ValueError(f"constellation must be a string, got {name!r}")
     key = name.lower()
     if key not in _CONSTELLATIONS:
         raise ValueError(

@@ -222,12 +222,20 @@ class TestOverrides:
                        "--set", "nope.n_trials=2")
         assert code == cli.EXIT_BAD_CONFIG
 
-    def test_env_overrides_config(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISAC_EXPERIMENT_N_TRIALS", "2")
-        code, out = _run(tmp_path, "ccdf", _experiment_config())
+    # the section ends at the first underscore, so a field may hold one
+    @pytest.mark.parametrize("command,config,name,section,field,value", [
+        ("ccdf", _experiment_config(), "ISAC_EXPERIMENT_N_TRIALS",
+         "experiment", "n_trials", 2),
+        ("design", _design_config(), "ISAC_DESIGN_M_ITER", "design",
+         "m_iter", 1500),
+    ], ids=["experiment", "design"])
+    def test_env_overrides_config(self, tmp_path, monkeypatch, command,
+                                  config, name, section, field, value):
+        monkeypatch.setenv(name, str(value))
+        code, out = _run(tmp_path, command, config)
         assert code == cli.EXIT_OK
         manifest = json.load(open(os.path.join(out, "manifest.json")))
-        assert manifest["config"]["experiment"]["n_trials"] == 2
+        assert manifest["config"][section][field] == value
 
     def test_set_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ISAC_EXPERIMENT_N_TRIALS", "5")
@@ -237,10 +245,17 @@ class TestOverrides:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["config"]["experiment"]["n_trials"] == 2
 
-    def test_unrecognized_env_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISAC_BOGUS_FIELD", "1")
-        code, _ = _run(tmp_path, "ccdf", _experiment_config())
+    # --config, --out, --seed and --threads are flags only
+    @pytest.mark.parametrize("name", ["ISAC_BOGUS_FIELD", "ISAC_SEED",
+                                      "ISAC_THREADS", "ISAC_OUT",
+                                      "ISAC_CONFIG"])
+    def test_unrecognized_env_rejected(self, tmp_path, monkeypatch, capsys,
+                                       name):
+        monkeypatch.setenv(name, "1")
+        code, out = _run(tmp_path, "ccdf", _experiment_config())
         assert code == cli.EXIT_BAD_CONFIG
+        assert f"config error at {name}:" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_seed_flag_sets_base_seed(self, tmp_path):
         code, out = _run(tmp_path, "ccdf", _experiment_config(), "--seed",
@@ -399,10 +414,17 @@ class TestExperimentCommands:
         second = open(os.path.join(outs[1], "ccdf.csv"), "rb").read()
         assert first == second
 
-    def test_bad_threads_rejected(self, tmp_path):
-        code, _ = _run(tmp_path, "ccdf", _experiment_config(),
-                       "--threads", "0")
+    def test_bad_threads_rejected(self, tmp_path, capsys):
+        code, out = _run(tmp_path, "ccdf", _experiment_config(),
+                         "--threads", "0")
         assert code == cli.EXIT_BAD_CONFIG
+        # the library owns the rule; the CLI reports it at the section
+        assert "config error at experiment: threads" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_design_ignores_threads(self, tmp_path):
+        code, _ = _run(tmp_path, "design", _design_config(), "--threads", "0")
+        assert code == cli.EXIT_OK
 
     def test_linear_eta_config(self, tmp_path):
         config = _experiment_config(eta_db=None, eta=[1.5, 3.0])

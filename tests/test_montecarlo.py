@@ -76,6 +76,8 @@ class TestExperimentConfig:
         ("m_iter", 2.5),
         ("base_seed", 1.5),
         ("base_seed", False),
+        ("constellation", 5),
+        ("constellation", None),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises((ValueError, KeyError)):
@@ -184,6 +186,38 @@ class TestRunCcdf:
         b = run_ccdf(_cfg(n_trials=4, m_iter=60), threads=2)
         for label in a.series:
             np.testing.assert_array_equal(a.series[label], b.series[label])
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("threads", [0, -1, True, 8.0])
+    @pytest.mark.parametrize("driver", [run_ccdf, run_sumrate, run_ser])
+    def test_bad_count_rejected_before_any_solve(self, monkeypatch, driver,
+                                                 threads):
+        solves = []
+        monkeypatch.setattr(montecarlo, "solve", solves.append)
+        with pytest.raises(ValueError, match="threads"):
+            driver(_cfg(), threads=threads)
+        assert solves == []
+
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        run_ccdf(_cfg(n_trials=2, m_iter=20), threads=8)
+        assert sizes == [2]
 
 
 class TestSeriesLabels:
