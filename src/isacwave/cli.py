@@ -11,16 +11,18 @@ written atomically (temp file + rename) and CSV bytes are reproducible
 for a fixed config: floats are serialized with repr, the shortest
 round-tripping decimal form.
 
-Config files are JSON with a "design" section (design command) and an
-"experiment" section (sweep commands).  Resolution order, later wins:
-file, ISAC_<SECTION>_<FIELD> environment variables, repeated --set
-section.field=value flags, then --seed.  --config, --out, --seed and
---threads are flags only; any other ISAC_* variable is rejected.
+Config files are JSON holding the one section the command reads:
+"design" for design, "experiment" for the sweeps; any other section is
+rejected.  Resolution order, later wins: file, repeated --set
+section.field=value flags (the command's section only), then --seed.
+The environment sets nothing: any ISAC_* variable is rejected.
 --threads sets the worker processes of a sweep; design runs no trials
 and ignores it.  Unknown keys and malformed types are rejected with the
 offending path; an out-of-range value, --threads included, is rejected
-by the library object that receives it and reported at the section.
-The PAPR cap is given as exactly one of "eta" (linear) or "eta_db".
+by the library object that receives it and reported at the section.  A
+grid that a sweep holds fixed takes exactly one entry.  The PAPR cap is
+given as exactly one of "eta" (linear) or "eta_db".  An --out that is
+not, and cannot become, a directory is rejected before any work.
 
 Exit codes: 0 success; 1 bad config or arguments, including a resolved
 config that a library constructor or driver rejects with ValueError; 2
@@ -56,8 +58,6 @@ EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_SINGULAR = 3
-
-_ENV_PREFIX = "ISAC_"
 
 
 class ConfigError(ValueError):
@@ -148,9 +148,6 @@ def _resolve_section(section: str, raw: dict) -> dict:
     for key in raw:
         if key not in schema:
             raise ConfigError(f"{section}.{key}", "unknown key")
-    if ("eta" in raw) == ("eta_db" in raw):
-        raise ConfigError(section, "give exactly one of eta (linear) "
-                                   "or eta_db")
     resolved = {}
     for key, (tag, required, default) in schema.items():
         if key in raw:
@@ -159,6 +156,9 @@ def _resolve_section(section: str, raw: dict) -> dict:
             raise ConfigError(f"{section}.{key}", "missing required field")
         elif default is not None:
             resolved[key] = default
+    if ("eta" in raw) == ("eta_db" in raw):
+        raise ConfigError(section, "give exactly one of eta (linear) "
+                                   "or eta_db")
     return resolved
 
 
@@ -176,54 +176,53 @@ def _eta_db_list(section_cfg: dict, path: str) -> list:
     return [10.0 * math.log10(value) for value in values]
 
 
-def _override(config: dict, path: str, section: str, field: str,
-              text: str) -> None:
-    """Store one override of section.field, reported at ``path``.  The
-    value is parsed as JSON, or kept as a string if it is not JSON."""
-    if section not in _SECTIONS or not field:
-        raise ConfigError(path, "expected an override of "
-                                "<design|experiment>.<field>")
-    try:
-        value = json.loads(text)
-    except json.JSONDecodeError:
-        value = text
-    config.setdefault(section, {})[field] = value
-
-
-def _apply_env(config: dict, environ) -> None:
-    for name, value in sorted(environ.items()):
-        if name.startswith(_ENV_PREFIX):
-            # the section ends at the first underscore: ISAC_DESIGN_M_ITER
-            # is design.m_iter
-            section, _, field = name[len(_ENV_PREFIX):].lower().partition("_")
-            _override(config, name, section, field, value)
-
-
-def _apply_sets(config: dict, assignments) -> None:
+def _apply_sets(fields: dict, section: str, assignments) -> None:
+    """Store each --set section.field=value in ``fields``, the command's
+    section; any other section is rejected.  The value is parsed as JSON,
+    or kept as a string if it is not JSON."""
     for assignment in assignments or ():
-        key, sep, value = assignment.partition("=")
+        key, sep, text = assignment.partition("=")
         if not sep:
             raise ConfigError(assignment, "expected section.field=value")
-        section, _, field = key.partition(".")
-        _override(config, key, section, field, value)
+        prefix, _, field = key.partition(".")
+        if prefix != section or not field:
+            raise ConfigError(key, f"expected {section}.<field>=value")
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
+        fields[field] = value
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, section: str) -> dict:
+    """The fields of ``section`` in the config file at ``path``, which
+    may hold no other section."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError(path, "file not found")
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"not valid JSON ({exc})")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(path, f"cannot read the file ({exc})")
     if not isinstance(raw, dict):
         raise ConfigError(path, "top level must be an object")
-    for key, section in raw.items():
-        if key not in _SECTIONS:
-            raise ConfigError(key, "unknown section")
-        if not isinstance(section, dict):
-            raise ConfigError(key, "expected an object")
-    return raw
+    for key in raw:
+        if key != section:
+            raise ConfigError(key, f"unknown section, expected {section}")
+    fields = raw.get(section, {})
+    if not isinstance(fields, dict):
+        raise ConfigError(section, "expected an object")
+    return fields
+
+
+def _check_out_dir(path: str) -> None:
+    """Reject an --out that cannot become a directory before any work;
+    the directory itself is made with the first output."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError("--out", f"{existing} is not a directory")
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -376,20 +375,20 @@ def main(argv=None) -> int:
     try:
         if not args.config:
             raise ConfigError("--config", "a config file is required")
-        config = _load_config_file(args.config)
-        _apply_env(config, os.environ)
-        _apply_sets(config, args.assignments)
+        _check_out_dir(args.out)
+        fields = _load_config_file(args.config, section)
+        for name in sorted(os.environ):
+            if name.startswith("ISAC_"):
+                raise ConfigError(name, "use --set, not the environment")
+        _apply_sets(fields, section, args.assignments)
 
         if args.seed is not None:
             if section == "experiment":
-                config.setdefault("experiment", {})["base_seed"] = args.seed
+                fields["base_seed"] = args.seed
             else:
-                design = config.setdefault("design", {})
-                design.setdefault("channel_seed", args.seed)
-                design.setdefault("symbol_seed", args.seed + 1)
-        if section not in config:
-            raise ConfigError(section, "missing required section")
-        resolved = _resolve_section(section, config[section])
+                fields.setdefault("channel_seed", args.seed)
+                fields.setdefault("symbol_seed", args.seed + 1)
+        resolved = _resolve_section(section, fields)
 
         if args.command == "design":
             code, outputs = cmd_design(resolved, args.out)

@@ -72,11 +72,12 @@ _CHUNK_TRIALS = 256
 class ExperimentConfig:
     """Shared knobs for the three experiment drivers.
 
-    Each driver sweeps its own grids and takes the first entry of the
-    grids it does not sweep: run_ccdf sweeps (rho_grid, eta_grid_db) at
-    epsilon_grid[0]; run_sumrate sweeps (epsilon_grid, eta_grid_db) at
-    rho_grid[0] and the single SNR; run_ser sweeps snr_grid_db at
-    rho_grid[0], eta_grid_db[0], epsilon_grid[0].
+    Each driver sweeps its own grids and holds the others fixed; a grid
+    held fixed must have exactly one entry, or the driver raises
+    ValueError before any solve: run_ccdf sweeps (rho_grid, eta_grid_db)
+    at the one epsilon; run_sumrate sweeps (epsilon_grid, eta_grid_db) at
+    the one rho and SNR; run_ser sweeps snr_grid_db at the one rho, eta
+    and epsilon.  run_ccdf does not read snr_grid_db.
     """
 
     n_antennas: int
@@ -281,6 +282,22 @@ def detect_qpsk(received, constellation="qpsk") -> np.ndarray:
     return np.argmin(np.abs(y[..., None] - points), axis=-1)
 
 
+# what a grid holds, for the message that rejects a second entry
+_GRID_QUANTITIES = {"rho_grid": "rho", "eta_grid_db": "PAPR cap",
+                    "epsilon_grid": "epsilon", "snr_grid_db": "SNR"}
+
+
+def _fixed_entries(cfg: ExperimentConfig, *names) -> list:
+    """The one entry of each grid in ``names``, the grids the calling
+    driver holds fixed; a second entry would never be read, so it is
+    rejected."""
+    for name in names:
+        if len(getattr(cfg, name)) != 1:
+            raise ValueError(f"{name} must hold exactly one entry: this "
+                             f"sweep runs at one {_GRID_QUANTITIES[name]}")
+    return [getattr(cfg, name)[0] for name in names]
+
+
 def _labelled(pairs) -> dict:
     """Dict of (series label, grid entry) pairs, rejecting a repeated
     label: grid entries that print alike would overwrite each other's
@@ -305,9 +322,10 @@ def _ccdf_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
 def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     """CCDF of designed-block PAPR for every (rho, eta) pair.
 
-    Uses epsilon_grid[0] as the similarity radius of every solve.
+    Uses the one entry of epsilon_grid as the similarity radius of every
+    solve.
     """
-    epsilon = cfg.epsilon_grid[0]
+    [epsilon] = _fixed_entries(cfg, "epsilon_grid")
     grid = _labelled((f"rho={rho:g},eta={eta_db:g}dB", (rho, eta_db))
                      for rho in cfg.rho_grid for eta_db in cfg.eta_grid_db)
     series = {}
@@ -357,16 +375,11 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
 
     One series per eta, an "awgn_capacity" constant, and a "zero_mui"
     series transmitting the unit-energy zero-forcing block.  Requires a
-    single SNR point.
+    single SNR point and a single rho.
     """
-    if len(cfg.snr_grid_db) != 1:
-        raise ValueError(
-            "run_sumrate needs exactly one SNR point, got "
-            f"{len(cfg.snr_grid_db)}"
-        )
-    snr = 10.0 ** (cfg.snr_grid_db[0] / 10.0)
+    snr_db, rho = _fixed_entries(cfg, "snr_grid_db", "rho_grid")
+    snr = 10.0 ** (snr_db / 10.0)
     noise_variance = 1.0 / snr
-    rho = cfg.rho_grid[0]
     axis = np.array(cfg.epsilon_grid, dtype=float)
     trials = range(cfg.n_trials)
 
@@ -403,7 +416,7 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
         axis_name="epsilon",
         axis_values=axis,
         series=series,
-        metadata=_metadata(cfg, rho=rho, snr_db=cfg.snr_grid_db[0],
+        metadata=_metadata(cfg, rho=rho, snr_db=snr_db,
                            n_trials=cfg.n_trials, series_sem=sems),
     )
 
@@ -512,9 +525,9 @@ def run_ser(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
         raise ValueError("run_ser is defined for the qpsk constellation")
     sigma2s = tuple(map(snr_noise_variance, cfg.snr_grid_db))
     per_trial = cfg.k_users * cfg.n_samples
-    epsilon = cfg.epsilon_grid[0]
-    eta = papr_cap(cfg.eta_grid_db[0], cfg.n_antennas * cfg.n_samples)
-    rho = cfg.rho_grid[0]
+    epsilon, eta_db, rho = _fixed_entries(cfg, "epsilon_grid", "eta_grid_db",
+                                          "rho_grid")
+    eta = papr_cap(eta_db, cfg.n_antennas * cfg.n_samples)
 
     series, stats = {}, {}
     for label, chunk_fn, workers in (
@@ -535,7 +548,7 @@ def run_ser(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
         axis_name="snr_db",
         axis_values=np.array(cfg.snr_grid_db, dtype=float),
         series=series,
-        metadata=_metadata(cfg, epsilon=epsilon, eta_db=cfg.eta_grid_db[0],
+        metadata=_metadata(cfg, epsilon=epsilon, eta_db=eta_db,
                            rho=rho, series_stats=stats),
     )
 

@@ -78,6 +78,15 @@ class TestConfigValidation:
         code, _ = _run(tmp_path, "design", config)
         assert code == cli.EXIT_BAD_CONFIG
 
+    # a file holds the section its command reads and no other, even a
+    # section that another command would accept
+    def test_section_of_another_command_rejected(self, tmp_path, capsys):
+        config = {**_experiment_config(), **_design_config()}
+        code, out = _run(tmp_path, "ccdf", config)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "config error at design: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_eta_and_eta_db_together_rejected(self, tmp_path, capsys):
         config = _design_config(eta_db=3.0)
         code, _ = _run(tmp_path, "design", config)
@@ -101,6 +110,42 @@ class TestConfigValidation:
         code = cli.main(["design", "--config", str(path),
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_reported_at_its_path(self, tmp_path, capsys,
+                                                    kind):
+        path = tmp_path / "config"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"design": {"rho": "\xff"}}')
+        out = tmp_path / "out"
+        code = cli.main(["design", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"isacwave: config error at {path}: ")
+        assert not out.exists()
+
+    # the file stands for --out itself or for a parent of it
+    @pytest.mark.parametrize("command,config,below", [
+        ("design", _design_config(), False),
+        ("ccdf", _experiment_config(), False),
+        ("ccdf", _experiment_config(), True),
+    ], ids=["design", "ccdf", "ccdf-below-file"])
+    def test_out_naming_a_file_rejected_before_any_work(
+            self, tmp_path, monkeypatch, capsys, command, config, below):
+        solves = []
+        monkeypatch.setattr(cli, "solve", solves.append)
+        monkeypatch.setattr(montecarlo, "solve", solves.append)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "run" if below else taken
+        code = cli.main([command, "--config", _write(tmp_path, config),
+                         "--out", str(out)])
+        assert code == cli.EXIT_BAD_CONFIG
+        assert solves == []
+        assert "config error at --out: " in capsys.readouterr().err
+        assert taken.read_text() == "keep"
 
     # a bare field is a design field; "experiment." marks an experiment
     # field, run through ccdf.  Range errors come from the library, which
@@ -177,11 +222,14 @@ class TestConfigValidation:
          cli.EXIT_BAD_CONFIG, "snr_db"),
         ("sumrate", _experiment_config(snr_db=[4000.0]), cli.EXIT_BAD_CONFIG,
          "snr_db"),
+        # ccdf holds epsilon fixed, so a second entry would go unread
+        ("ccdf", _experiment_config(epsilon=[1.0, 0.2]), cli.EXIT_BAD_CONFIG,
+         "epsilon_grid"),
     ], ids=["design-8psk", "design-zf-k-above-n", "design-eta-db-overflow",
             "ser-16qam", "sumrate-two-snr", "ccdf-raw-singular",
             "ser-raw-singular", "design-snr-low", "design-snr-high",
             "ser-snr-low", "ser-snr-high", "sumrate-snr-low",
-            "sumrate-snr-high"])
+            "sumrate-snr-high", "ccdf-two-epsilon"])
     def test_library_rejections_exit_with_documented_code(
             self, tmp_path, monkeypatch, capsys, command, config, expected,
             named):
@@ -222,39 +270,29 @@ class TestOverrides:
                        "--set", "nope.n_trials=2")
         assert code == cli.EXIT_BAD_CONFIG
 
-    # the section ends at the first underscore, so a field may hold one
-    @pytest.mark.parametrize("command,config,name,section,field,value", [
-        ("ccdf", _experiment_config(), "ISAC_EXPERIMENT_N_TRIALS",
-         "experiment", "n_trials", 2),
-        ("design", _design_config(), "ISAC_DESIGN_M_ITER", "design",
-         "m_iter", 1500),
-    ], ids=["experiment", "design"])
-    def test_env_overrides_config(self, tmp_path, monkeypatch, command,
-                                  config, name, section, field, value):
-        monkeypatch.setenv(name, str(value))
-        code, out = _run(tmp_path, command, config)
-        assert code == cli.EXIT_OK
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
-        assert manifest["config"][section][field] == value
-
-    def test_set_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISAC_EXPERIMENT_N_TRIALS", "5")
+    # ccdf reads the experiment section only, so a design field it would
+    # never read is rejected, not ignored
+    def test_set_of_another_section_rejected(self, tmp_path, capsys):
         code, out = _run(tmp_path, "ccdf", _experiment_config(),
-                         "--set", "experiment.n_trials=2")
-        assert code == cli.EXIT_OK
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
-        assert manifest["config"]["experiment"]["n_trials"] == 2
+                         "--set", "design.bogus=1")
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "config error at design.bogus: " in capsys.readouterr().err
+        assert not os.path.exists(out)
 
-    # --config, --out, --seed and --threads are flags only
+    # the environment sets nothing: neither a flag nor a config field
     @pytest.mark.parametrize("name", ["ISAC_BOGUS_FIELD", "ISAC_SEED",
                                       "ISAC_THREADS", "ISAC_OUT",
-                                      "ISAC_CONFIG"])
+                                      "ISAC_CONFIG",
+                                      "ISAC_EXPERIMENT_N_TRIALS",
+                                      "ISAC_DESIGN_M_ITER"])
     def test_unrecognized_env_rejected(self, tmp_path, monkeypatch, capsys,
                                        name):
         monkeypatch.setenv(name, "1")
         code, out = _run(tmp_path, "ccdf", _experiment_config())
         assert code == cli.EXIT_BAD_CONFIG
-        assert f"config error at {name}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error at {name}:" in err
+        assert "--set" in err
         assert not os.path.exists(out)
 
     def test_seed_flag_sets_base_seed(self, tmp_path):

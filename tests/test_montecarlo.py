@@ -236,6 +236,29 @@ class TestSeriesLabels:
         assert solves == []
 
 
+class TestFixedGrids:
+    # every grid a driver does not sweep, given a second entry it would
+    # never read
+    @pytest.mark.parametrize("driver,name", [
+        (run_ccdf, "epsilon_grid"),
+        (run_sumrate, "rho_grid"),
+        (run_sumrate, "snr_grid_db"),
+        (run_ser, "rho_grid"),
+        (run_ser, "eta_grid_db"),
+        (run_ser, "epsilon_grid"),
+    ], ids=["ccdf-epsilon", "sumrate-rho", "sumrate-snr", "ser-rho",
+            "ser-eta", "ser-epsilon"])
+    def test_second_entry_rejected_before_any_solve(self, monkeypatch,
+                                                    driver, name):
+        solves = []
+        monkeypatch.setattr(montecarlo, "solve", solves.append)
+        cfg = _cfg()
+        grid = getattr(cfg, name)
+        with pytest.raises(ValueError, match=name):
+            driver(_cfg(**{name: grid + (grid[0] - 0.5,)}))
+        assert solves == []
+
+
 class TestRunSumrate:
     def test_single_snr_required(self):
         with pytest.raises(ValueError, match="SNR"):
