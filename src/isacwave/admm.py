@@ -39,6 +39,24 @@ the same whatever rows share its stack.  Rows never leave the stack: a
 row that stops early has its iterate and iteration count recorded, and
 its later values are never read.  An epsilon = 0 row ends at iteration
 0 with the reference as its iterate.
+
+Certified stop.  Minimising the Lagrangian of the splitting over x_bar
+and the three constraint sets gives, for any duals (u, v, w), the value
+
+    g = s^T c - ||s||^2/4 - v^T x0 - ||u|| - epsilon ||v||
+        - sqrt(eta/(N*L)) sum_n ||w_n||,     s = u + v + P^T w,
+
+with c the lifted target, x0 the lifted reference and P the map from
+slots to per-sample pairs (:func:`lower_bound`).  By weak duality g is a
+lower bound on the optimum for any duals, nonconvex as the problem is;
+the sphere and the unit ball have the same support function, so it
+bounds the problem with the ball in place of the sphere too.  It
+certifies a design only when the design is feasible: a block inside
+the tolerance but off the sets can sit below g.  An early_stop row ends at the
+first check iteration, every _STOP_CHECK_EVERY, where its violations
+(exactly those the result reports) are within feasibility_tolerance
+and its relative gap (f - g)/|f| is at most _CERTIFIED_GAP.  A row
+whose gap never closes runs its budget.
 """
 
 from __future__ import annotations
@@ -72,6 +90,11 @@ _RHO_CHECK_EVERY = 100
 _RHO_STALL_FLOOR = 1e-4
 _RHO_MAX = 20.0
 
+# an early_stop row is tested every _STOP_CHECK_EVERY iterations and
+# stops once feasible with a relative certified gap <= _CERTIFIED_GAP
+_STOP_CHECK_EVERY = 10
+_CERTIFIED_GAP = 1e-8
+
 # relative slack of every PAPR-cap comparison against its range edges;
 # it absorbs the roundoff of the dB conversion and of a computed PAPR
 _ETA_SLACK = 1e-9
@@ -98,7 +121,10 @@ class ProblemSpec:
     and can never be active below 1 (PAPR >= 1 always) or above N*L
     (the maximum PAPR of a unit-energy block).  rho is the initial
     penalty weight; rho_schedule (one of RHO_SCHEDULES) says whether it
-    stays fixed or adapts to stalling residuals.
+    stays fixed or adapts to stalling residuals.  early_stop ends the
+    solve once the design is feasible within feasibility_tolerance and
+    certified optimal to a relative gap of 1e-8; without it the solve
+    runs max_iterations.
     """
 
     channel: ChannelRealization
@@ -109,7 +135,7 @@ class ProblemSpec:
     rho: float = 1.0
     max_iterations: int = 2000
     feasibility_tolerance: float = 1e-3
-    early_stop: bool = False
+    early_stop: bool = True
     rho_schedule: str = "adaptive"
 
     def __post_init__(self) -> None:
@@ -156,8 +182,9 @@ class ProblemSpec:
         return self.reference.n_antennas * self.reference.n_samples
 
 
-def papr_cap(eta_db: float, n_total: int) -> float:
-    """Linear PAPR cap of an eta given in dB, for an N*L-sample block.
+def papr_cap(eta: float, n_total: int, *, in_db: bool = True) -> float:
+    """Linear PAPR cap of an eta given in dB, or with in_db=False given
+    linear and taken as it is, for an N*L-sample block.
 
     A cap outside [1, N*L] by more than a relative 1e-9 is rejected;
     one within that slack is clamped onto the range, so the result is
@@ -165,17 +192,20 @@ def papr_cap(eta_db: float, n_total: int) -> float:
     """
     if not n_total >= 1:
         raise ValueError(f"n_total = N*L must be >= 1, got {n_total}")
-    try:
-        eta = 10.0 ** (eta_db / 10.0)
-    except OverflowError:
-        eta = math.inf
+    given = eta
+    if in_db:
+        try:
+            eta = 10.0 ** (given / 10.0)
+        except OverflowError:
+            eta = math.inf
     if not 1.0 - _ETA_SLACK <= eta <= n_total * (1.0 + _ETA_SLACK):
+        shown = f"{eta:g} ({given:g} dB)" if in_db else f"{eta:g}"
         raise ValueError(
-            f"PAPR cap eta = {eta:g} ({eta_db:g} dB) must lie in "
+            f"PAPR cap eta = {shown} must lie in "
             f"[1, N*L] = [1, {n_total}], i.e. "
             f"[0 dB, {10.0 * math.log10(n_total):.2f} dB]"
         )
-    return min(max(eta, 1.0), float(n_total))
+    return min(max(float(eta), 1.0), float(n_total))
 
 
 @dataclass
@@ -380,6 +410,35 @@ def dual_updates(
     return u, v, w
 
 
+def lower_bound(
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    x_bar_comm: np.ndarray,
+    x_bar_0: np.ndarray,
+    epsilon,
+    eta,
+) -> np.ndarray:
+    """Lagrangian dual value g(u, v, w), a lower bound on the optimum.
+
+    With s = u + v + P^T w, the Lagrangian of the splitting has its
+    minimum over x_bar, s^T c - ||s||^2/4, at x_bar = c - s/2; over the
+    sphere, the epsilon-ball and the per-sample discs the dual terms
+    contribute -||u||, -v^T x0 - epsilon ||v|| and
+    -sqrt(eta/(N*L)) sum_n ||w_n||.  By weak duality g bounds
+    min ||x_bar - x_bar_comm||^2 over the feasible set from below for
+    any duals.  Acts on the trailing axes, one value per row; epsilon
+    and eta are scalars or one value per row.
+    """
+    n_total = w.shape[-2]
+    s = u + v + scatter_pairs(w)
+    return (np.vecdot(s, x_bar_comm) - 0.25 * np.vecdot(s, s)
+            - np.vecdot(v, x_bar_0) - _row_norm(u)
+            - _per_row(epsilon, 0) * _row_norm(v)
+            - np.sqrt(_per_row(eta, 0) / n_total)
+            * np.add.reduce(_row_norm(w), axis=-1))
+
+
 def augmented_lagrangian(
     x_bar: np.ndarray,
     alpha: np.ndarray,
@@ -455,29 +514,48 @@ class ResidualHistory:
 class SolveResult:
     """Designed block plus diagnostics of the splitting run.
 
-    rho_trajectory lists the (iteration, rho) change points of the
-    penalty weight: rho applies from that iteration (zero-based) on.  It
-    starts with (0, spec.rho) and has no further entry under the fixed
-    schedule.
+    lower_bound is :func:`lower_bound` at the final duals: no feasible
+    block comes closer to the target than it, so for a feasible design
+    certified_gap says how far from optimal the design can be.  An
+    epsilon = 0 design keeps the bound of zero duals, 0.  rho_trajectory
+    lists the (iteration, rho) change points of the penalty weight: rho
+    applies from that iteration (zero-based) on.  It starts with
+    (0, spec.rho) and has no further entry under the fixed schedule.
     """
 
     waveform: Waveform
     objective: float
+    lower_bound: float
     constraint_violations: ConstraintViolations
     residual_history: ResidualHistory
     iterations_run: int
     rho_trajectory: tuple
 
+    @property
+    def certified_gap(self) -> float:
+        """(objective - lower_bound)/|objective|, the one the stop rule
+        tests; absolute where the objective is 0."""
+        return float(_relative_gap(self.objective, self.lower_bound))
 
-def _violations(spec: ProblemSpec, x: np.ndarray) -> ConstraintViolations:
-    norm_gap = abs(float(np.linalg.norm(x) ** 2) - 1.0)
-    similarity = float(np.linalg.norm(x - spec.reference.vec))
-    papr_lin = kpi.papr(x)
-    return ConstraintViolations(
-        norm_gap=norm_gap,
-        similarity_excess=max(0.0, similarity - spec.epsilon),
-        papr_excess=max(0.0, papr_lin - spec.eta),
-    )
+
+def _relative_gap(objective, bound):
+    """(f - g)/|f|, or f - g where f = 0; scalars or one per row."""
+    return (objective - bound) / np.where(objective != 0,
+                                          np.abs(objective), 1.0)
+
+
+def _violations(x_bar: np.ndarray, x_bar_0: np.ndarray, epsilon: np.ndarray,
+                eta: np.ndarray) -> np.ndarray:
+    """Norm gap, similarity excess and PAPR excess of every row, shape
+    (3, T): what a result reports, and so what the stop rule tests."""
+    n_total = x_bar.shape[-1] // 2
+    energy = np.vecdot(x_bar, x_bar)
+    re, im = x_bar[..., :n_total], x_bar[..., n_total:]
+    peak = np.max(re * re + im * im, axis=-1)
+    papr = n_total * peak / np.maximum(energy, _TINY)
+    return np.array([np.abs(energy - 1.0),
+                     np.maximum(_row_norm(x_bar - x_bar_0) - epsilon, 0.0),
+                     np.maximum(papr - eta, 0.0)])
 
 
 def solve(
@@ -491,9 +569,9 @@ def solve(
     epsilon, eta, rho, rho_schedule, feasibility_tolerance and
     early_stop, and its result does not depend on the other rows.
 
-    Each instance runs the splitting for max_iterations (optionally
-    stopping early once all residual norms drop below
-    feasibility_tolerance) and returns the final primal block with its
+    Each instance runs the splitting for max_iterations, or with
+    early_stop until it is feasible and certified optimal (see the
+    module docstring), and returns the final primal block with its
     diagnostics.  An epsilon = 0 instance returns the reference block
     after 0 iterations: the similarity ball is the single point x0,
     feasible by ProblemSpec validation.
@@ -511,20 +589,21 @@ def solve(
         return []
     x_bar_comm = np.array([lift(zero_forcing_target(s.channel, s.symbols))
                            for s in specs])
-    results = [_result(s, comm, *run) for s, comm, run
-               in zip(specs, x_bar_comm, _iterate(specs, x_bar_comm))]
+    results = [_result(s.reference.n_antennas, *run)
+               for s, run in zip(specs, _iterate(specs, x_bar_comm))]
     return results[0] if single else results
 
 
 def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
     """Advance a stack of instances, one row each, to their ends.
 
-    A row ends after max_iterations, earlier when it stops early, or at
-    iteration 0 when epsilon = 0 pins it to the reference.  Its iterate
-    and iteration count are recorded at its end; after that it may go on
-    being advanced with the stack, but its later values are never read.
-    Returns, per row, (x_bar at its end, residual history of shape (3,
-    iterations run), rho trajectory).
+    A row ends after max_iterations, earlier when it stops certified, or
+    at iteration 0 when epsilon = 0 pins it to the reference.  Its
+    iterate, duals and iteration count are recorded at its end; after
+    that it may go on being advanced with the stack, but its later
+    values are never read.  Returns, per row, (x_bar, objective, lower
+    bound and the three violations at its end, residual history of shape
+    (3, iterations run), rho trajectory).
     """
     n_rows = len(specs)
     n_total = specs[0].n_total
@@ -532,18 +611,32 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
     rho = np.array([s.rho for s in specs], dtype=float)
     epsilon = np.array([s.epsilon for s in specs], dtype=float)
     eta = np.array([s.eta for s in specs], dtype=float)
-    # a row without early stopping never falls below -inf
-    tolerance = np.array([s.feasibility_tolerance if s.early_stop
-                          else -np.inf for s in specs])
-    stops_early = any(s.early_stop for s in specs)
+    tolerance = np.array([s.feasibility_tolerance for s in specs])
+    early_stop = np.array([s.early_stop for s in specs])
+    stops_early = bool(early_stop.any())
     adaptive = np.array([s.rho_schedule == "adaptive" for s in specs])
     checked = np.full(n_rows, np.inf)
     trajectories = [[(0, s.rho)] for s in specs]
     running = epsilon != 0
     ends = np.zeros(n_rows, dtype=int)
-    x_bar_end = x_bar_0.copy()
     norms = []  # per iteration, the three residual norms of every row
     state = AdmmState.initial(n_total, batch=(n_rows,))
+    # each row's iterate and duals at its end; a pinned row keeps the
+    # reference and zero duals
+    x_bar_end = x_bar_0.copy()
+    duals_end = (state.u.copy(), state.v.copy(), state.w.copy())
+
+    def measure(x_bar, u, v, w):
+        miss = x_bar - x_bar_comm
+        return (np.vecdot(miss, miss),
+                lower_bound(u, v, w, x_bar_comm, x_bar_0, epsilon, eta),
+                _violations(x_bar, x_bar_0, epsilon, eta))
+
+    def end(rows):
+        x_bar_end[rows] = state.x_bar[rows]
+        for kept, dual in zip(duals_end, (state.u, state.v, state.w)):
+            kept[rows] = dual[rows]
+        ends[rows] = state.iteration
 
     for m in range(specs[0].max_iterations if running.any() else 0):
         state.x_bar = x_update(state, rho, x_bar_comm, x_bar_0)
@@ -562,18 +655,19 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
         state.u, state.v, state.w = dual_updates(
             state, energy_gap, similarity_gap, papr_gap, rho)
         state.iteration = m + 1
-        checks_rho = state.iteration % _RHO_CHECK_EVERY == 0
-        if not (stops_early or checks_rho):
-            continue
-        largest = np.maximum(np.maximum(r_energy, r_similarity), r_papr)
-        stopped = running & (largest < tolerance)
-        if stopped.any():
-            x_bar_end[stopped] = state.x_bar[stopped]
-            ends[stopped] = state.iteration
-            running &= ~stopped
-            if not running.any():
-                break
-        if checks_rho:
+        if stops_early and state.iteration % _STOP_CHECK_EVERY == 0:
+            objective, bound, violations = measure(
+                state.x_bar, state.u, state.v, state.w)
+            stopped = (running & early_stop
+                       & np.all(violations <= tolerance, axis=0)
+                       & (_relative_gap(objective, bound) <= _CERTIFIED_GAP))
+            if stopped.any():
+                end(stopped)
+                running &= ~stopped
+                if not running.any():
+                    break
+        if state.iteration % _RHO_CHECK_EVERY == 0:
+            largest = np.maximum(np.maximum(r_energy, r_similarity), r_papr)
             double = (running & adaptive & (largest > _RHO_STALL_FLOOR)
                       & (largest > 0.5 * checked) & (rho < _RHO_MAX))
             rho = np.where(double, np.minimum(2.0 * rho, _RHO_MAX), rho)
@@ -581,21 +675,23 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
                 trajectories[j].append((state.iteration, float(rho[j])))
             checked = np.where(adaptive, largest, checked)
 
-    x_bar_end[running] = state.x_bar[running]
-    ends[running] = state.iteration
+    end(running)
+    objective, bound, violations = measure(x_bar_end, *duals_end)
     history = np.reshape(norms, (-1, 3, n_rows))
-    return [(x_bar_end[i], history[:ran, :, i].T.copy(), trajectories[i])
+    return [(x_bar_end[i], objective[i], bound[i], violations[:, i],
+             history[:ran, :, i].T.copy(), trajectories[i])
             for i, ran in enumerate(ends)]
 
 
-def _result(spec: ProblemSpec, x_bar_comm: np.ndarray, x_bar: np.ndarray,
-            history: np.ndarray, trajectory: list) -> SolveResult:
+def _result(n_antennas: int, x_bar: np.ndarray, objective: float,
+            bound: float, violations: np.ndarray, history: np.ndarray,
+            trajectory: list) -> SolveResult:
     """The SolveResult of one row from its :func:`_iterate` entry."""
-    x = unlift(x_bar)
     return SolveResult(
-        waveform=Waveform(unvec(x, spec.reference.n_antennas)),
-        objective=float(np.linalg.norm(x_bar - x_bar_comm) ** 2),
-        constraint_violations=_violations(spec, x),
+        waveform=Waveform(unvec(unlift(x_bar), n_antennas)),
+        objective=float(objective),
+        lower_bound=float(bound),
+        constraint_violations=ConstraintViolations(*map(float, violations)),
         residual_history=ResidualHistory(*history),
         iterations_run=history.shape[1],
         rho_trajectory=tuple(trajectory),

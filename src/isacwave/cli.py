@@ -81,7 +81,7 @@ _DESIGN_FIELDS = {
     "rho": ("number", False, 1.0),
     "m_iter": ("int", False, 2000),
     "feasibility_tolerance": ("number", False, 1e-3),
-    "early_stop": ("bool", False, False),
+    "early_stop": ("bool", False, True),
     "channel_seed": ("u64", True, None),
     "symbol_seed": ("u64", True, None),
     "constellation": ("str", False, "qpsk"),
@@ -162,7 +162,8 @@ def _resolve_section(section: str, raw: dict) -> dict:
     return resolved
 
 
-def _eta_db_list(section_cfg: dict, path: str) -> list:
+def _eta_db_list(section_cfg: dict) -> list:
+    """An experiment's PAPR caps in dB, the unit of ExperimentConfig."""
     if "eta_db" in section_cfg:
         values = section_cfg["eta_db"]
         return values if isinstance(values, list) else [values]
@@ -171,7 +172,7 @@ def _eta_db_list(section_cfg: dict, path: str) -> list:
         values = [values]
     for i, value in enumerate(values):
         if value <= 0:
-            raise ConfigError(f"{path}.eta[{i}]",
+            raise ConfigError(f"experiment.eta[{i}]",
                               "linear eta must be positive")
     return [10.0 * math.log10(value) for value in values]
 
@@ -275,8 +276,10 @@ def cmd_design(cfg: dict, out_dir: str):
         cfg["constellation"], cfg["snr_convention"], cfg["channel_seed"],
         cfg["symbol_seed"], snr_noise_variance(cfg["snr_db"]),
     )
-    [eta_db] = _eta_db_list(cfg, "design")
-    eta = papr_cap(eta_db, cfg["n_antennas"] * cfg["n_samples"])
+    n_total = cfg["n_antennas"] * cfg["n_samples"]
+    # a linear cap is range-checked as given, not via dB and back
+    eta = (papr_cap(cfg["eta_db"], n_total) if "eta_db" in cfg
+           else papr_cap(cfg["eta"], n_total, in_db=False))
     reference = chirp_reference(cfg["n_antennas"], cfg["n_samples"])
     spec = ProblemSpec(
         channel=channel, symbols=symbols, reference=reference,
@@ -294,6 +297,8 @@ def cmd_design(cfg: dict, out_dir: str):
         "entries": [[[float(z.real), float(z.imag)] for z in row]
                     for row in entries],
         "objective": result.objective,
+        "lower_bound": result.lower_bound,
+        "certified_gap": result.certified_gap,
         "iterations_run": result.iterations_run,
         "constraint_violations": result.constraint_violations.as_dict(),
         "residual_history": result.residual_history.as_dict(),
@@ -318,7 +323,7 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         k_users=cfg["k_users"],
         n_samples=cfg["n_samples"],
         rho_grid=tuple(cfg["rho"]),
-        eta_grid_db=tuple(_eta_db_list(cfg, "experiment")),
+        eta_grid_db=tuple(_eta_db_list(cfg)),
         epsilon_grid=tuple(cfg["epsilon"]),
         snr_grid_db=tuple(cfg["snr_db"]),
         n_trials=cfg["n_trials"],
@@ -386,8 +391,13 @@ def main(argv=None) -> int:
             if section == "experiment":
                 fields["base_seed"] = args.seed
             else:
-                fields.setdefault("channel_seed", args.seed)
-                fields.setdefault("symbol_seed", args.seed + 1)
+                # range-checked here: a config field the command line
+                # fills must not be blamed for the flag's value
+                for key, flag, value in (
+                        ("channel_seed", "--seed", args.seed),
+                        ("symbol_seed", "--seed + 1", args.seed + 1)):
+                    if key not in fields:
+                        fields[key] = _check_type(flag, "u64", value)
         resolved = _resolve_section(section, fields)
 
         if args.command == "design":

@@ -237,8 +237,9 @@ def _solve_trials(cfg: ExperimentConfig, trials, epsilon: float,
             max_iterations=cfg.m_iter,
             # the ccdf experiment compares penalty weights, which only
             # holds when each rho_grid entry stays the weight of the
-            # whole solve
+            # whole solve; every trial runs the same m_iter budget
             rho_schedule="fixed",
+            early_stop=False,
         )
         for channel, symbols in instances
     ])

@@ -192,50 +192,55 @@ class TestConfigValidation:
         assert code == cli.EXIT_BAD_CONFIG
 
     # each message holds a fragment naming what was rejected: the field,
-    # the rule, or for exit 3 the dependent channel
-    @pytest.mark.parametrize("command,config,expected,named", [
-        ("design", _design_config(constellation="8psk"), cli.EXIT_BAD_CONFIG,
-         "constellation"),
+    # the rule, the flag, or for exit 3 the dependent channel
+    @pytest.mark.parametrize("command,config,extra,expected,named", [
+        ("design", _design_config(constellation="8psk"), (),
+         cli.EXIT_BAD_CONFIG, "constellation"),
         ("design", _design_config(snr_convention="zf-normalized", k_users=5),
-         cli.EXIT_BAD_CONFIG, "k_users"),
-        ("design", _design_config(eta=None, eta_db=1e4), cli.EXIT_BAD_CONFIG,
-         "eta"),
-        ("ser", _experiment_config(constellation="16qam"),
+         (), cli.EXIT_BAD_CONFIG, "k_users"),
+        ("design", _design_config(eta=None, eta_db=1e4), (),
+         cli.EXIT_BAD_CONFIG, "eta"),
+        ("ser", _experiment_config(constellation="16qam"), (),
          cli.EXIT_BAD_CONFIG, "qpsk"),
-        ("sumrate", _experiment_config(snr_db=[0.0, 10.0]),
+        ("sumrate", _experiment_config(snr_db=[0.0, 10.0]), (),
          cli.EXIT_BAD_CONFIG, "SNR"),
         # every trial of these sweeps draws a rank-deficient channel
-        ("ccdf", _experiment_config(snr_convention="raw"), cli.EXIT_SINGULAR,
-         "dependent"),
-        ("ser", _experiment_config(snr_convention="raw"), cli.EXIT_SINGULAR,
-         "dependent"),
+        ("ccdf", _experiment_config(snr_convention="raw"), (),
+         cli.EXIT_SINGULAR, "dependent"),
+        ("ser", _experiment_config(snr_convention="raw"), (),
+         cli.EXIT_SINGULAR, "dependent"),
         # a linear SNR or noise variance of 0 or inf
-        ("design", _design_config(snr_db=-4000.0), cli.EXIT_BAD_CONFIG,
+        ("design", _design_config(snr_db=-4000.0), (), cli.EXIT_BAD_CONFIG,
          "snr_db"),
-        ("design", _design_config(snr_db=4000.0), cli.EXIT_BAD_CONFIG,
+        ("design", _design_config(snr_db=4000.0), (), cli.EXIT_BAD_CONFIG,
          "snr_db"),
-        ("ser", _experiment_config(snr_db=[-4000.0]), cli.EXIT_BAD_CONFIG,
-         "snr_db"),
-        ("ser", _experiment_config(snr_db=[4000.0]), cli.EXIT_BAD_CONFIG,
-         "snr_db"),
-        ("sumrate", _experiment_config(snr_db=[-4000.0]),
+        ("ser", _experiment_config(snr_db=[-4000.0]), (),
          cli.EXIT_BAD_CONFIG, "snr_db"),
-        ("sumrate", _experiment_config(snr_db=[4000.0]), cli.EXIT_BAD_CONFIG,
+        ("ser", _experiment_config(snr_db=[4000.0]), (), cli.EXIT_BAD_CONFIG,
          "snr_db"),
+        ("sumrate", _experiment_config(snr_db=[-4000.0]), (),
+         cli.EXIT_BAD_CONFIG, "snr_db"),
+        ("sumrate", _experiment_config(snr_db=[4000.0]), (),
+         cli.EXIT_BAD_CONFIG, "snr_db"),
         # ccdf holds epsilon fixed, so a second entry would go unread
-        ("ccdf", _experiment_config(epsilon=[1.0, 0.2]), cli.EXIT_BAD_CONFIG,
-         "epsilon_grid"),
+        ("ccdf", _experiment_config(epsilon=[1.0, 0.2]), (),
+         cli.EXIT_BAD_CONFIG, "epsilon_grid"),
+        # --seed S fills symbol_seed with S + 1, one past the largest u64;
+        # the flag is named, not a config field the command line filled
+        ("design", _design_config(channel_seed=None, symbol_seed=None),
+         ("--seed", str(2 ** 64 - 1)), cli.EXIT_BAD_CONFIG,
+         "config error at --seed + 1: "),
     ], ids=["design-8psk", "design-zf-k-above-n", "design-eta-db-overflow",
             "ser-16qam", "sumrate-two-snr", "ccdf-raw-singular",
             "ser-raw-singular", "design-snr-low", "design-snr-high",
             "ser-snr-low", "ser-snr-high", "sumrate-snr-low",
-            "sumrate-snr-high", "ccdf-two-epsilon"])
+            "sumrate-snr-high", "ccdf-two-epsilon", "design-seed-overflow"])
     def test_library_rejections_exit_with_documented_code(
-            self, tmp_path, monkeypatch, capsys, command, config, expected,
-            named):
+            self, tmp_path, monkeypatch, capsys, command, config, extra,
+            expected, named):
         if expected == cli.EXIT_SINGULAR:
             monkeypatch.setattr(montecarlo, "draw_channel", _rank_deficient)
-        code, out = _run(tmp_path, command, config)
+        code, out = _run(tmp_path, command, config, *extra)
         assert code == expected
         # nothing was written, so no output directory was made
         assert not os.path.exists(out)
@@ -484,8 +489,35 @@ class TestShippedConfigs:
         resolved = cli._resolve_section(section, config[section])
         assert resolved["n_antennas"] >= resolved["k_users"]
 
+    def test_shipped_design_stops_feasible_and_certified(self, tmp_path):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "design.json")
+        out = str(tmp_path / "out")
+        code = cli.main(["design", "--config", path, "--out", out])
+        assert code == cli.EXIT_OK
+        waveform = json.load(open(os.path.join(out, "waveform.json")))
+        m_iter = json.load(open(path))["design"]["m_iter"]
+        assert waveform["iterations_run"] < m_iter
+        assert waveform["certified_gap"] <= 1e-8
+        assert max(waveform["constraint_violations"].values()) <= 1e-3
+        assert waveform["certified_gap"] == (
+            (waveform["objective"] - waveform["lower_bound"])
+            / waveform["objective"])
+
 
 class TestPaprCapRule:
+    def test_linear_cap_at_n_l_reaches_the_solver_exactly(self, tmp_path,
+                                                          monkeypatch):
+        # through dB and back, a cap of 64 would arrive as 63.999999999999986
+        assert 10.0 ** (10.0 * math.log10(64.0) / 10.0) != 64.0
+        caps = []
+        solve = cli.solve
+        monkeypatch.setattr(cli, "solve",
+                            lambda spec: caps.append(spec.eta) or solve(spec))
+        code, _ = _run(tmp_path, "design", _design_config(eta=64, m_iter=1))
+        assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
+        assert caps == [64.0]
+
     @settings(max_examples=60, deadline=None)
     @given(n_antennas=st.integers(1, 6), n_samples=st.integers(1, 12),
            upper_edge=st.booleans(), rel=st.floats(-1e-8, 1e-8),

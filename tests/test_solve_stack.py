@@ -6,6 +6,8 @@ test holds the row-batched loop against a plain one-instance loop kept
 here as the oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,7 @@ def _assert_same(a, b):
     assert a.iterations_run == b.iterations_run
     assert a.rho_trajectory == b.rho_trajectory
     assert a.objective == b.objective
+    assert a.lower_bound == b.lower_bound
     assert a.constraint_violations == b.constraint_violations
 
 
@@ -133,7 +136,7 @@ def test_stacked_solve_matches_the_one_instance_loop():
     specs = [
         _spec(4, 2, 16, 300 + i, epsilon=combos[i % 9][0],
               eta=combos[i % 9][1], rho=(0.5, 1.0, 2.0)[i % 3],
-              max_iterations=300, rho_schedule="fixed")
+              max_iterations=300, rho_schedule="fixed", early_stop=False)
         for i in range(20)
     ]
     for spec, result in zip(specs, solve(specs)):
@@ -182,20 +185,24 @@ def test_degenerate_rows_in_a_stack_raise_no_warning_and_give_no_nan():
 
 
 def test_a_stopped_row_takes_no_later_rho_doubling():
-    # both rows stall on the tight caps.  The early-stop row stops at
-    # iteration 67, before the first check that can double rho (200);
-    # its neighbour runs on and doubles rho there.  The stopped row stays in
-    # the stack, so that check must leave its rho and trajectory alone.
-    tight = dict(epsilon=0.5, eta=1.5, rho=1.0, max_iterations=300,
-                 rho_schedule="adaptive")
-    stopping = _spec(4, 2, 16, 2, early_stop=True,
-                     feasibility_tolerance=1e-2, **tight)
-    stalling = _spec(4, 2, 16, 1000, **tight)
+    # the early-stop row passes the certified stop at iteration 260, at
+    # its initial rho.  Run on, it would stall and double rho at the
+    # check at iteration 400; its neighbour runs the whole budget, so the
+    # stack reaches that check.  The stopped row stays in the stack, so
+    # the check must leave its rho and trajectory alone, and the row must
+    # come out bitwise as it does alone.
+    budget = dict(max_iterations=400, rho_schedule="adaptive")
+    stopping = _spec(4, 2, 16, 1, epsilon=1.0, eta=1.5, rho=0.5,
+                     feasibility_tolerance=1e-2, **budget)
+    stalling = _spec(4, 2, 16, 1000, epsilon=0.5, eta=1.5, rho=1.0,
+                     early_stop=False, **budget)
     alone = solve(stopping)
-    assert alone.iterations_run == 67
-    assert alone.rho_trajectory == ((0, 1.0),)
+    assert alone.iterations_run == 260
+    assert alone.rho_trajectory == ((0, 0.5),)
+    running_on = solve(replace(stopping, early_stop=False))
+    assert running_on.rho_trajectory == ((0, 0.5), (400, 1.0))
     stacked, neighbour = solve([stopping, stalling])
-    assert neighbour.rho_trajectory == ((0, 1.0), (200, 2.0))
+    assert neighbour.iterations_run == 400
     _assert_same(stacked, alone)
 
 

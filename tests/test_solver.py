@@ -248,7 +248,7 @@ class TestSolve:
                                       b.residual_history.energy)
 
     def test_history_lengths_match_iterations_run(self):
-        result = solve(_spec(44, max_iterations=137))
+        result = solve(_spec(44, max_iterations=137, early_stop=False))
         assert result.iterations_run == 137
         for series in (result.residual_history.energy,
                        result.residual_history.similarity,
@@ -257,22 +257,23 @@ class TestSolve:
             assert np.all(np.isfinite(series))
 
     def test_early_stop_halts_before_budget(self):
+        # the stop rule: feasible within the tolerance and certified
+        # optimal to a relative 1e-8
         result = solve(_spec(45, early_stop=True, feasibility_tolerance=1e-6))
         assert result.iterations_run < 2000
         assert result.residual_history.energy.size == result.iterations_run
-        assert max(result.residual_history.energy[-1],
-                   result.residual_history.similarity[-1],
-                   result.residual_history.papr[-1]) < 1e-6
+        assert result.constraint_violations.max() <= 1e-6
+        assert result.certified_gap <= 1e-8
 
-    def test_early_stop_energy_gap_bounded_by_twice_tolerance(self):
-        # at the stop, the energy residual r = |x - alpha| is below the
-        # tolerance and alpha is unit norm, so ||x|^2 - 1| <= r*(2 + r)
+    def test_early_stop_energy_gap_bounded_by_tolerance(self):
+        # the stop rule tests the norm gap the result reports, so a design
+        # that stops has it within the tolerance
         tol = 1e-3
         for seed in range(8):
             result = solve(_spec(seed, early_stop=True,
                                  feasibility_tolerance=tol))
             if result.iterations_run < 2000:
-                assert result.constraint_violations.norm_gap <= 2 * tol * 1.01
+                assert result.constraint_violations.norm_gap <= tol
 
     def test_residuals_shrink_from_first_to_last_iteration(self):
         # statistical contract: the splitting improves feasibility over the
