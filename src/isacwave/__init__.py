@@ -42,7 +42,6 @@ from .signal_model import (
     draw_channel,
     draw_symbols,
     lift,
-    steering_vector,
     unlift,
     unvec,
     vec,
@@ -76,7 +75,6 @@ __all__ = [
     "run_ser",
     "run_sumrate",
     "solve",
-    "steering_vector",
     "unlift",
     "unvec",
     "vec",

@@ -182,23 +182,34 @@ class ProblemSpec:
         return self.reference.n_antennas * self.reference.n_samples
 
 
+def _db_to_linear(value_db: float) -> float:
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def papr_cap(eta: float, n_total: int, *, in_db: bool = True) -> float:
     """Linear PAPR cap of an eta given in dB, or with in_db=False given
     linear and taken as it is, for an N*L-sample block.
 
     A cap outside [1, N*L] by more than a relative 1e-9 is rejected;
     one within that slack is clamped onto the range, so the result is
-    always a valid ProblemSpec.eta.  n_total must be at least 1.
+    always a valid ProblemSpec.eta.  A linear cap must pass both as
+    given and in its dB form, so one rule holds whichever unit carries
+    it: the dB round trip can move a cap at the slack edge past it.
+    n_total must be at least 1.
     """
     if not n_total >= 1:
         raise ValueError(f"n_total = N*L must be >= 1, got {n_total}")
     given = eta
     if in_db:
-        try:
-            eta = 10.0 ** (given / 10.0)
-        except OverflowError:
-            eta = math.inf
-    if not 1.0 - _ETA_SLACK <= eta <= n_total * (1.0 + _ETA_SLACK):
+        eta = _db_to_linear(given)
+    checked = [eta]
+    if not in_db and eta > 0:
+        checked.append(_db_to_linear(10.0 * math.log10(eta)))
+    if not all(1.0 - _ETA_SLACK <= value <= n_total * (1.0 + _ETA_SLACK)
+               for value in checked):
         shown = f"{eta:g} ({given:g} dB)" if in_db else f"{eta:g}"
         raise ValueError(
             f"PAPR cap eta = {shown} must lie in "

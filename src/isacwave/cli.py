@@ -170,11 +170,21 @@ def _eta_db_list(section_cfg: dict) -> list:
     values = section_cfg["eta"]
     if not isinstance(values, list):
         values = [values]
+    n_total = section_cfg["n_antennas"] * section_cfg["n_samples"]
+    caps = []
     for i, value in enumerate(values):
         if value <= 0:
             raise ConfigError(f"experiment.eta[{i}]",
                               "linear eta must be positive")
-    return [10.0 * math.log10(value) for value in values]
+        # range-check and clamp the cap as given, as design does: the
+        # dB round trip can push a cap inside the slack just outside it
+        if n_total >= 1:  # a bad count is named by ExperimentConfig
+            try:
+                value = papr_cap(value, n_total, in_db=False)
+            except ValueError as exc:
+                raise ConfigError(f"experiment.eta[{i}]", str(exc)) from exc
+        caps.append(10.0 * math.log10(value))
+    return caps
 
 
 def _apply_sets(fields: dict, section: str, assignments) -> None:

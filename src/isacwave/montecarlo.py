@@ -1,13 +1,15 @@
 """Seeded experiment harness: PAPR statistics, rate trade-offs, link SER.
 
 Every experiment draws independent (channel, symbol) trials, designs one
-block per trial with the splitting solver, and reduces the results into a
-CurveTable of named series over a fixed axis.  The trials of a grid point
-are designed in solver stacks of up to 256 trials, at least one per
-worker process.  All randomness flows through per-trial streams keyed by
-(base_seed, trial, purpose), and a stacked design does not depend on its
-neighbours, so a table is bitwise reproducible and invariant to the
-number of worker processes.
+block per trial and grid point with the splitting solver, and reduces
+the results into a CurveTable of named series over a fixed axis.  The
+designs are solved in stacks of up to 256 rows (trials x grid points),
+at least one stack per worker process; a ccdf sweep draws each trial
+once and designs it at every (rho, eta) point within one stack, while
+the rate and SER sweeps stack one grid point at a time.  All randomness
+flows through per-trial streams keyed by (base_seed, trial, purpose),
+and a stacked design does not depend on its neighbours, so a table is
+bitwise reproducible and invariant to the number of worker processes.
 
 SNR convention.  With "zf-normalized" (the default) each trial rescales
 the drawn channel so the zero-forcing block has exactly unit energy.
@@ -61,11 +63,11 @@ _MAX_SYMBOLS = 1_000_000
 
 _GAMMA_GRID_DB = np.linspace(0.0, 10.0, 201)
 
-# most trials designed as one solver stack.  A stack amortises numpy's
-# per-call overhead over its rows; on 4 x 16 blocks the time per trial is
-# lowest near 256 rows and grows beyond, as the iterate leaves the cache.
-# It also bounds the memory a grid point holds at once.
-_CHUNK_TRIALS = 256
+# most rows (trials x grid points) designed as one solver stack.  A stack
+# amortises numpy's per-call overhead over its rows; on 4 x 16 blocks the
+# time per row is lowest near 256 rows and grows beyond, as the iterate
+# leaves the cache.  It also bounds the memory a sweep holds at once.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -218,11 +220,12 @@ def _trial_instance(cfg: ExperimentConfig, trial: int):
     )
 
 
-def _solve_trials(cfg: ExperimentConfig, trials, epsilon: float,
-                  eta: float, rho: float) -> list:
-    """Draw and design a chunk of trials as one stack.
+def _solve_trials(cfg: ExperimentConfig, grid, trials) -> list:
+    """Draw a chunk of trials once and design each at every entry of
+    ``grid``, a sequence of (epsilon, eta, rho), all as one stack.
 
-    Returns (channel, symbols, SolveResult) per trial, in trial order.
+    Returns (channel, symbols, SolveResult) per trial and grid entry,
+    trial by trial and, within a trial, in grid order.
     """
     instances = [_trial_instance(cfg, trial) for trial in trials]
     reference = chirp_reference(cfg.n_antennas, cfg.n_samples)
@@ -242,9 +245,11 @@ def _solve_trials(cfg: ExperimentConfig, trials, epsilon: float,
             early_stop=False,
         )
         for channel, symbols in instances
+        for epsilon, eta, rho in grid
     ])
+    rows = [instance for instance in instances for _ in grid]
     return [(channel, symbols, result)
-            for (channel, symbols), result in zip(instances, results)]
+            for (channel, symbols), result in zip(rows, results)]
 
 
 def _worker_count(threads) -> int:
@@ -256,18 +261,21 @@ def _worker_count(threads) -> int:
     return int(threads)
 
 
-def _map_trials(fn, trials, threads: int) -> list:
+def _map_trials(fn, trials, threads: int, grid_size: int = 1) -> list:
     """Per-trial results of ``fn``, which maps a chunk of trial indices
-    to one result per trial.
+    to one result per trial, designing each trial at ``grid_size`` grid
+    points.
 
-    Each call gets a contiguous chunk of at most _CHUNK_TRIALS trials,
-    one or more per worker process, and the pool starts no more workers
-    than there are chunks.  Results come back in trial order and do not
-    depend on the chunking.
+    Each call gets a contiguous chunk of whole trials, at most
+    _CHUNK_ROWS rows (trials x grid points) but at least one trial, one
+    or more chunks per worker process, and the pool starts no more
+    workers than there are chunks.  Results come back in trial order and
+    do not depend on the chunking.
     """
     threads = _worker_count(threads)
     trials = list(trials)
-    size = max(1, min(_CHUNK_TRIALS, math.ceil(len(trials) / threads)))
+    size = max(1, min(_CHUNK_ROWS // grid_size,
+                      math.ceil(len(trials) / threads)))
     chunks = [trials[i:i + size] for i in range(0, len(trials), size)]
     workers = min(threads, len(chunks))
     if workers <= 1:
@@ -314,27 +322,29 @@ def _labelled(pairs) -> dict:
 
 # --- experiment 1: PAPR CCDF over (rho, eta) --------------------------------
 
-def _ccdf_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
-                 rho: float, trials) -> list:
-    return [kpi.papr_db(result.waveform.vec)
-            for _, _, result in _solve_trials(cfg, trials, epsilon, eta, rho)]
+def _ccdf_trials(cfg: ExperimentConfig, grid, trials) -> list:
+    """Per trial, the PAPR of its design at every grid entry."""
+    paprs = [kpi.papr_db(result.waveform.vec)
+             for _, _, result in _solve_trials(cfg, grid, trials)]
+    return [paprs[i:i + len(grid)] for i in range(0, len(paprs), len(grid))]
 
 
 def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     """CCDF of designed-block PAPR for every (rho, eta) pair.
 
     Uses the one entry of epsilon_grid as the similarity radius of every
-    solve.
+    solve.  Each trial is drawn once and designed at every pair.
     """
     [epsilon] = _fixed_entries(cfg, "epsilon_grid")
-    grid = _labelled((f"rho={rho:g},eta={eta_db:g}dB", (rho, eta_db))
+    n_total = cfg.n_antennas * cfg.n_samples
+    grid = _labelled((f"rho={rho:g},eta={eta_db:g}dB",
+                      (epsilon, papr_cap(eta_db, n_total), rho))
                      for rho in cfg.rho_grid for eta_db in cfg.eta_grid_db)
-    series = {}
-    for label, (rho, eta_db) in grid.items():
-        eta = papr_cap(eta_db, cfg.n_antennas * cfg.n_samples)
-        fn = partial(_ccdf_trials, cfg, epsilon, eta, rho)
-        samples = np.array(_map_trials(fn, range(cfg.n_trials), threads))
-        series[label] = kpi.ccdf(samples, _GAMMA_GRID_DB)
+    fn = partial(_ccdf_trials, cfg, list(grid.values()))
+    samples = np.array(_map_trials(fn, range(cfg.n_trials), threads,
+                                   len(grid)))
+    series = {label: kpi.ccdf(samples[:, j], _GAMMA_GRID_DB)
+              for j, label in enumerate(grid)}
     return CurveTable(
         axis_name="gamma_db",
         axis_values=_GAMMA_GRID_DB.copy(),
@@ -356,7 +366,7 @@ def _sumrate_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
     return [_rate_from_block(channel, result.waveform.vec, symbols,
                              noise_variance)
             for channel, symbols, result
-            in _solve_trials(cfg, trials, epsilon, eta, rho)]
+            in _solve_trials(cfg, [(epsilon, eta, rho)], trials)]
 
 
 def _zero_mui_rate_trials(cfg: ExperimentConfig, noise_variance: float,
@@ -460,7 +470,7 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
 def _ser_designed_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
                          rho: float, sigma2s: tuple, open_points: np.ndarray,
                          trials) -> np.ndarray:
-    solved = _solve_trials(cfg, trials, epsilon, eta, rho)
+    solved = _solve_trials(cfg, [(epsilon, eta, rho)], trials)
     received = np.stack([channel.matrix @ result.waveform.entries
                          for channel, _, result in solved])
     sent = np.stack([symbols.symbols for _, symbols, _ in solved])

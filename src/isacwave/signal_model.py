@@ -5,7 +5,7 @@ complex matrix X.  The optimizer works on the vectorized block
 x = vec(X) (column-major, length N*L) and on its real lifting
 x_bar = [Re(x); Im(x)] (length 2*N*L).  This module provides:
 
-* array geometry and steering vectors,
+* the array size,
 * Rayleigh channel and constellation-symbol draws (explicitly seeded),
 * the unit-energy chirp block used as the radar reference,
 * vec / lift round-trip helpers shared by the solver and the KPIs.
@@ -51,33 +51,13 @@ def constellation_points(name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Uniform linear array: antenna count and spacing in wavelengths."""
+    """Transmit array: the antenna count."""
 
     n_antennas: int
-    spacing_over_wavelength: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
-        if not self.spacing_over_wavelength > 0:
-            raise ValueError("spacing_over_wavelength must be > 0")
-
-
-def steering_vector(cfg: ArrayConfig, theta: float) -> np.ndarray:
-    """Narrowband steering vector of the array toward angle theta.
-
-    Entry n is exp(-j * n * 2*pi * (d/lambda) * sin(theta)), n = 0..N-1,
-    so every entry has unit magnitude.
-
-    Parameters
-    ----------
-    cfg : ArrayConfig
-        Array geometry.
-    theta : float
-        Angle in radians measured from broadside.
-    """
-    n = np.arange(cfg.n_antennas)
-    return np.exp(-1j * n * 2.0 * np.pi * cfg.spacing_over_wavelength * np.sin(theta))
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def test_a_sweep_spec_runs_m_iter_iterations():
                            rho_grid=(1.0,), eta_grid_db=(4.77,),
                            epsilon_grid=(1.0,), snr_grid_db=(10.0,),
                            n_trials=6, m_iter=300, snr_convention="raw")
-    solved = montecarlo._solve_trials(cfg, range(6), 1.0, 3.0, 1.0)
+    solved = montecarlo._solve_trials(cfg, [(1.0, 3.0, 1.0)], range(6))
     assert [r.iterations_run for _, _, r in solved] == [300] * 6
     # the same instances under the default certified stop end sooner
     reference = chirp_reference(N, L)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isacwave import montecarlo
+from isacwave import admm, montecarlo
 from isacwave.kpi import sinr_per_user
 from isacwave.montecarlo import (
     CurveTable,
@@ -187,6 +187,39 @@ class TestRunCcdf:
         for label in a.series:
             np.testing.assert_array_equal(a.series[label], b.series[label])
 
+    def test_worker_count_does_not_change_a_fused_grid(self):
+        cfg = _cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8), n_trials=5,
+                   m_iter=60)
+        a = run_ccdf(cfg, threads=1)
+        b = run_ccdf(cfg, threads=2)
+        assert len(a.series) == 4 and a.series.keys() == b.series.keys()
+        for label in a.series:
+            np.testing.assert_array_equal(a.series[label], b.series[label])
+
+    @settings(max_examples=12, deadline=None)
+    @given(rho_grid=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                             min_size=1, max_size=2, unique=True),
+           eta_grid_db=st.lists(st.sampled_from([0.0, 1.5, 3.0, 6.0]),
+                                min_size=1, max_size=2, unique=True),
+           chunk_rows=st.integers(1, 8), extra_trials=st.integers(1, 3))
+    def test_a_fused_sweep_equals_its_single_point_sweeps(
+            self, rho_grid, eta_grid_db, chunk_rows, extra_trials):
+        # n_trials crosses a chunk boundary of the patched row budget,
+        # and the single-point sweeps keep the shipped budget
+        grid_size = len(rho_grid) * len(eta_grid_db)
+        n_trials = max(1, chunk_rows // grid_size) + extra_trials
+        cfg = _cfg(rho_grid=rho_grid, eta_grid_db=eta_grid_db,
+                   n_trials=n_trials, m_iter=8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_CHUNK_ROWS", chunk_rows)
+            fused = run_ccdf(cfg)
+        for rho in rho_grid:
+            for eta_db in eta_grid_db:
+                single = run_ccdf(_cfg(rho_grid=(rho,), eta_grid_db=(eta_db,),
+                                       n_trials=n_trials, m_iter=8))
+                [(label, series)] = single.series.items()
+                np.testing.assert_array_equal(fused.series[label], series)
+
 
 class TestWorkerCount:
     @pytest.mark.parametrize("threads", [0, -1, True, 8.0])
@@ -199,7 +232,8 @@ class TestWorkerCount:
             driver(_cfg(), threads=threads)
         assert solves == []
 
-    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+    def _pool_sizes(self, monkeypatch):
+        # the max_workers of every pool started, run in this process
         sizes = []
 
         class InProcessPool:
@@ -216,7 +250,18 @@ class TestWorkerCount:
                 return map(fn, chunks)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        sizes = self._pool_sizes(monkeypatch)
         run_ccdf(_cfg(n_trials=2, m_iter=20), threads=8)
+        assert sizes == [2]
+
+    def test_a_ccdf_sweep_starts_one_pool_for_its_whole_grid(self,
+                                                             monkeypatch):
+        sizes = self._pool_sizes(monkeypatch)
+        run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
+                      n_trials=4, m_iter=20), threads=2)
         assert sizes == [2]
 
 
@@ -372,15 +417,15 @@ class TestSnrConventions:
 
 
 class TestTrialStacks:
-    def _spy(self, monkeypatch, name):
+    def _spy(self, monkeypatch, name, module=montecarlo):
         calls = []
-        real = getattr(montecarlo, name)
+        real = getattr(module, name)
 
         def spy(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, name, spy)
+        monkeypatch.setattr(module, name, spy)
         return calls
 
     def _noise_streams(self, monkeypatch):
@@ -395,20 +440,34 @@ class TestTrialStacks:
         monkeypatch.setattr(montecarlo, "_noise_rng", spy)
         return streams
 
-    def test_each_grid_point_is_one_stack_with_one_reference(self, monkeypatch):
+    def test_a_ccdf_grid_is_one_stack_with_one_reference(self, monkeypatch):
         stacks = self._spy(monkeypatch, "solve")
         references = self._spy(monkeypatch, "chirp_reference")
         run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
                       n_trials=5, m_iter=20))
-        assert [len(specs) for specs in stacks] == [5, 5, 5, 5]
-        assert len(references) == 4
+        assert [len(specs) for specs in stacks] == [5 * 4]
+        assert len(references) == 1
+
+    def test_a_ccdf_sweep_draws_each_trial_once(self, monkeypatch):
+        channels = self._spy(monkeypatch, "draw_channel")
+        rescales = self._spy(monkeypatch, "zero_forcing_target")
+        # solve still builds the target of each row it designs
+        targets = self._spy(monkeypatch, "zero_forcing_target", admm)
+        n_trials = 5
+        run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
+                      n_trials=n_trials, m_iter=20))
+        assert len(channels) == n_trials
+        assert len(rescales) == n_trials
+        assert len(targets) == 4 * n_trials
 
     def test_a_stack_holds_at_most_a_chunk_of_trials(self, monkeypatch):
+        # a trial's rows stay in one stack, so a chunk holds whole trials
         stacks = self._spy(monkeypatch, "solve")
-        n_trials = montecarlo._CHUNK_TRIALS + 3
-        run_ccdf(_cfg(n_trials=n_trials, m_iter=2))
+        n_trials = montecarlo._CHUNK_ROWS // 4 + 3
+        run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
+                      n_trials=n_trials, m_iter=2))
         assert [len(specs) for specs in stacks] == [
-            montecarlo._CHUNK_TRIALS, 3]
+            montecarlo._CHUNK_ROWS, 12]
 
     def test_each_ser_batch_of_designed_trials_is_one_stack(self, monkeypatch):
         stacks = self._spy(monkeypatch, "solve")
