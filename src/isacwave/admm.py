@@ -40,6 +40,18 @@ row that stops early has its iterate and iteration count recorded, and
 its later values are never read.  An epsilon = 0 row ends at iteration
 0 with the reference as its iterate.
 
+The loop keeps its state splitting-major, in two (4, T, 2*N*L) buffers
+[2c, u, v, w] and [x0, alpha, beta, gamma], with w and gamma in the slot
+layout of x_bar.  So each phase is one numpy call over the sphere, the
+ball and the discs together: the x-update is the alternating sum of
+the first buffer plus rho times the sum of the second, the projection
+arguments are [u, v, w]/rho + [x, x - x0, x], the consensus gaps are
+[x, x - x0, x] - [alpha, beta, gamma], and one call ascends the three
+duals.  The step functions (:func:`x_update`, :func:`alpha_update`,
+:func:`beta_update`, :func:`gamma_update`, :func:`dual_updates`) are
+the loop's reference: it keeps each of their operand orders, and so
+their results, to the last bit.
+
 Certified stop.  Minimising the Lagrangian of the splitting over x_bar
 and the three constraint sets gives, for any duals (u, v, w), the value
 
@@ -630,45 +642,91 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
     trajectories = [[(0, s.rho)] for s in specs]
     running = epsilon != 0
     ends = np.zeros(n_rows, dtype=int)
-    norms = []  # per iteration, the three residual norms of every row
-    state = AdmmState.initial(n_total, batch=(n_rows,))
+    n_iterations = specs[0].max_iterations if running.any() else 0
+    # per iteration, the three residual norms of every row
+    norms = np.empty((n_iterations, 3, n_rows))
+    # splitting-major state, w and gamma in the slot layout of x_bar;
+    # the x-update pull is the alternating sum of `duals` plus rho times
+    # the sum of `pulls`
+    shape = (n_rows, 2 * n_total)
+    duals = np.zeros((4,) + shape)  # [2c, u, v, w]
+    duals[0] = 2.0 * x_bar_comm
+    pulls = np.zeros((4,) + shape)  # [x0, alpha, beta, gamma]
+    pulls[0] = x_bar_0
+    u_v_w, auxiliaries = duals[1:], pulls[1:]
+    alpha, beta = pulls[1], pulls[2]
+    gamma_pairs = pulls[3].reshape(n_rows, 2, n_total)
+    # working buffers, their views taken once
+    compared = np.empty((3,) + shape)  # [x, x - x0, x]
+    x_bar, x_less_0 = compared[0], compared[1]
+    t = np.empty((3,) + shape)  # the three projection arguments
+    t_sphere_ball, t_sphere, t_ball = t[:2], t[0], t[1]
+    t_pairs = t[2].reshape(n_rows, 2, n_total)
+    squares = np.empty_like(t_pairs)
+    # the gaps reuse t, spent once the projections are done
+    gaps, gaps_sphere_ball, gaps_papr = t, t_sphere_ball, t[2]
+    epsilon_row, cap = _per_row(epsilon, 0), _per_row(eta, 1) / n_total
+    # max(max(norm, epsilon), tiny) as max(norm, max(epsilon, tiny))
+    ball_floor = np.maximum(epsilon_row, _TINY)
+    rho_row = _per_row(rho, 1)
+    denominator = 2.0 + 3.0 * rho_row
+    iteration = 0
     # each row's iterate and duals at its end; a pinned row keeps the
     # reference and zero duals
     x_bar_end = x_bar_0.copy()
-    duals_end = (state.u.copy(), state.v.copy(), state.w.copy())
+    duals_end = np.zeros((3,) + shape)
 
-    def measure(x_bar, u, v, w):
+    def measure(x_bar, u, v, w_slots):
         miss = x_bar - x_bar_comm
+        # lower_bound takes w as C-order (Re, Im) pairs
+        w = np.ascontiguousarray(
+            w_slots.reshape(n_rows, 2, n_total).swapaxes(1, 2))
         return (np.vecdot(miss, miss),
                 lower_bound(u, v, w, x_bar_comm, x_bar_0, epsilon, eta),
                 _violations(x_bar, x_bar_0, epsilon, eta))
 
     def end(rows):
-        x_bar_end[rows] = state.x_bar[rows]
-        for kept, dual in zip(duals_end, (state.u, state.v, state.w)):
-            kept[rows] = dual[rows]
-        ends[rows] = state.iteration
+        x_bar_end[rows] = x_bar[rows]
+        duals_end[:, rows] = u_v_w[:, rows]
+        ends[rows] = iteration
 
-    for m in range(specs[0].max_iterations if running.any() else 0):
-        state.x_bar = x_update(state, rho, x_bar_comm, x_bar_0)
-        state.alpha = alpha_update(state.x_bar, state.u, rho,
-                                   fallback=state.alpha)
-        state.beta = beta_update(state.x_bar, x_bar_0, state.v, rho, epsilon)
-        state.gamma = gamma_update(state.x_bar, state.w, rho, eta, n_total)
-        energy_gap = state.x_bar - state.alpha
-        similarity_gap = state.x_bar - x_bar_0 - state.beta
-        papr_gap = coupling_pairs(state.x_bar) - state.gamma
-        r_energy = _row_norm(energy_gap)
-        r_similarity = _row_norm(similarity_gap)
-        r_papr = np.sqrt(np.add.reduce(
-            (papr_gap * papr_gap).reshape(n_rows, -1), axis=-1))
-        norms.append((r_energy, r_similarity, r_papr))
-        state.u, state.v, state.w = dual_updates(
-            state, energy_gap, similarity_gap, papr_gap, rho)
-        state.iteration = m + 1
-        if stops_early and state.iteration % _STOP_CHECK_EVERY == 0:
-            objective, bound, violations = measure(
-                state.x_bar, state.u, state.v, state.w)
+    for m in range(n_iterations):
+        # each phase is one call over the sphere, the ball and the discs,
+        # with every operand order of the step functions
+        np.divide(np.subtract.reduce(duals, 0)
+                  + rho_row * np.add.reduce(pulls, 0),
+                  denominator, out=x_bar)
+        np.subtract(x_bar, x_bar_0, out=x_less_0)
+        compared[2] = x_bar
+        np.divide(u_v_w, rho_row, out=t)
+        t += compared
+        norm = np.sqrt(np.vecdot(t_sphere_ball, t_sphere_ball))
+        degenerate = norm[0] < 1e-12
+        if not np.count_nonzero(degenerate):
+            np.divide(t_sphere, norm[0][:, None], out=alpha)
+        else:
+            # a zero argument keeps the previous alpha
+            projected = t_sphere / np.where(degenerate, 1.0,
+                                            norm[0])[:, None]
+            alpha[...] = np.where(degenerate[:, None], alpha, projected)
+        divisor = np.maximum(norm[1], ball_floor)
+        np.multiply(t_ball, (epsilon_row / divisor)[:, None], out=beta)
+        np.multiply(t_pairs, t_pairs, out=squares)
+        scale = np.sqrt(cap / np.maximum(squares[:, 0] + squares[:, 1], cap))
+        np.multiply(t_pairs, scale[:, None], out=gamma_pairs)
+        np.subtract(compared, auxiliaries, out=gaps)
+        row_norms = norms[m]
+        np.vecdot(gaps_sphere_ball, gaps_sphere_ball, out=row_norms[:2])
+        # the PAPR residual is summed in pair order
+        papr_gap = coupling_pairs(gaps_papr)
+        np.add.reduce((papr_gap * papr_gap).reshape(n_rows, -1), axis=-1,
+                      out=row_norms[2])
+        np.sqrt(row_norms, out=row_norms)
+        gaps *= rho_row
+        u_v_w += gaps
+        iteration = m + 1
+        if stops_early and iteration % _STOP_CHECK_EVERY == 0:
+            objective, bound, violations = measure(x_bar, *u_v_w)
             stopped = (running & early_stop
                        & np.all(violations <= tolerance, axis=0)
                        & (_relative_gap(objective, bound) <= _CERTIFIED_GAP))
@@ -677,20 +735,21 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
                 running &= ~stopped
                 if not running.any():
                     break
-        if state.iteration % _RHO_CHECK_EVERY == 0:
-            largest = np.maximum(np.maximum(r_energy, r_similarity), r_papr)
+        if iteration % _RHO_CHECK_EVERY == 0:
+            largest = np.max(row_norms, axis=0)
             double = (running & adaptive & (largest > _RHO_STALL_FLOOR)
                       & (largest > 0.5 * checked) & (rho < _RHO_MAX))
             rho = np.where(double, np.minimum(2.0 * rho, _RHO_MAX), rho)
+            rho_row = _per_row(rho, 1)
+            denominator = 2.0 + 3.0 * rho_row
             for j in np.flatnonzero(double):
-                trajectories[j].append((state.iteration, float(rho[j])))
+                trajectories[j].append((iteration, float(rho[j])))
             checked = np.where(adaptive, largest, checked)
 
     end(running)
     objective, bound, violations = measure(x_bar_end, *duals_end)
-    history = np.reshape(norms, (-1, 3, n_rows))
     return [(x_bar_end[i], objective[i], bound[i], violations[:, i],
-             history[:ran, :, i].T.copy(), trajectories[i])
+             norms[:ran, :, i].T.copy(), trajectories[i])
             for i, ran in enumerate(ends)]
 
 

@@ -3,7 +3,8 @@
 A stack is solved row by row in one loop, so every row must come out
 exactly as it does alone, whatever rows surround it.  The reference
 test holds the row-batched loop against a plain one-instance loop kept
-here as the oracle.
+here as the oracle, and the step-function tests hold the fused
+iteration bitwise to a loop composed of the public step functions.
 """
 
 from dataclasses import replace
@@ -24,6 +25,7 @@ from isacwave.signal_model import (
     draw_symbols,
     lift,
     unlift,
+    unvec,
 )
 
 
@@ -149,6 +151,84 @@ def test_stacked_solve_matches_the_one_instance_loop():
         assert np.max(np.abs(got - history)) <= tolerance
 
 
+def _step_function_loop(specs):
+    """The fixed-rho stack loop composed of the public step functions.
+
+    Each iteration is x_update, the three projections (the sphere with
+    its previous value as fallback), the consensus gaps with the PAPR
+    gap in pair layout, their norms, and dual_updates, in that order.
+    Returns the last iterate and the residual norms, shape
+    (iterations, 3, rows).
+    """
+    n_rows, n_total = len(specs), specs[0].n_total
+    x_comm = np.array([lift(zero_forcing_target(s.channel, s.symbols))
+                       for s in specs])
+    x_0 = np.array([s.reference.lifted for s in specs])
+    rho = np.array([s.rho for s in specs])
+    epsilon = np.array([s.epsilon for s in specs])
+    eta = np.array([s.eta for s in specs])
+    state = admm.AdmmState.initial(n_total, batch=(n_rows,))
+    history = []
+    for _ in range(specs[0].max_iterations):
+        state.x_bar = admm.x_update(state, rho, x_comm, x_0)
+        state.alpha = admm.alpha_update(state.x_bar, state.u, rho,
+                                        fallback=state.alpha)
+        state.beta = admm.beta_update(state.x_bar, x_0, state.v, rho, epsilon)
+        state.gamma = admm.gamma_update(state.x_bar, state.w, rho, eta,
+                                        n_total)
+        energy_gap = state.x_bar - state.alpha
+        similarity_gap = state.x_bar - x_0 - state.beta
+        papr_gap = admm.coupling_pairs(state.x_bar) - state.gamma
+        history.append((
+            np.sqrt(np.vecdot(energy_gap, energy_gap)),
+            np.sqrt(np.vecdot(similarity_gap, similarity_gap)),
+            np.sqrt(np.add.reduce((papr_gap * papr_gap).reshape(n_rows, -1),
+                                  axis=-1)),
+        ))
+        state.u, state.v, state.w = admm.dual_updates(
+            state, energy_gap, similarity_gap, papr_gap, rho)
+    return state.x_bar, np.array(history)
+
+
+def _assert_is_the_step_function_loop(specs):
+    x_bar, history = _step_function_loop(specs)
+    for i, (spec, result) in enumerate(zip(specs, solve(specs))):
+        n = spec.reference.n_antennas
+        if spec.epsilon == 0:
+            np.testing.assert_array_equal(result.waveform.entries,
+                                          spec.reference.entries)
+            assert result.iterations_run == 0
+            continue
+        np.testing.assert_array_equal(result.waveform.entries,
+                                      unvec(unlift(x_bar[i]), n))
+        np.testing.assert_array_equal(
+            np.array([result.residual_history.energy,
+                      result.residual_history.similarity,
+                      result.residual_history.papr]),
+            history[:, :, i].T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), n_samples=st.integers(1, 6),
+       max_iterations=st.integers(1, 60), data=st.data(),
+       rows=st.lists(_rows, min_size=1, max_size=5))
+def test_the_kernel_is_the_step_functions_bitwise(n, n_samples,
+                                                  max_iterations, data, rows):
+    # tolerance 0: the fused iteration keeps every operand order of the
+    # step functions, so the waveform and each residual norm agree to the
+    # last bit
+    k = data.draw(st.integers(1, n), label="k")
+    n_total = n * n_samples
+    specs = [
+        _spec(n, k, n_samples, row["seed"], epsilon=row["epsilon"],
+              eta=1.0 + row["eta_share"] * (n_total - 1.0), rho=row["rho"],
+              max_iterations=max_iterations, rho_schedule="fixed",
+              early_stop=False)
+        for row in rows
+    ]
+    _assert_is_the_step_function_loop(specs)
+
+
 def _exact_instance(symbols, reference, **kw):
     # identity channel: the zero-forcing block is the symbol block itself
     n = len(reference)
@@ -184,6 +264,23 @@ def test_degenerate_rows_in_a_stack_raise_no_warning_and_give_no_nan():
         _assert_same(result, solve(spec))
 
 
+def test_the_kernel_is_the_step_functions_on_degenerate_rows():
+    # a zero sphere argument (alpha keeps its previous value), a zero
+    # ball argument and zero disc pairs
+    flat = np.full((2, 2), 0.5)
+    specs = [
+        _exact_instance(-flat, flat, epsilon=1.0, eta=2.0, rho=2.0),
+        _exact_instance(2.0 * flat, flat, epsilon=0.5, eta=2.0, rho=1.0),
+        _exact_instance([[1.0, 0.0], [1.0, 0.0]],
+                        [[np.sqrt(0.5), 0.0], [np.sqrt(0.5), 0.0]],
+                        epsilon=1.0, eta=2.0, rho=1.0),
+    ]
+    specs = [replace(s, rho_schedule="fixed", early_stop=False)
+             for s in specs]
+    with np.errstate(all="raise"):
+        _assert_is_the_step_function_loop(specs)
+
+
 def test_a_stopped_row_takes_no_later_rho_doubling():
     # the early-stop row passes the certified stop at iteration 260, at
     # its initial rho.  Run on, it would stall and double rho at the
@@ -207,14 +304,15 @@ def test_a_stopped_row_takes_no_later_rho_doubling():
 
 
 def test_a_stack_of_pinned_rows_runs_no_iteration(monkeypatch):
+    # the loop builds the pair layout of the PAPR gap once per iteration
     calls = []
-    x_update = admm.x_update
+    coupling_pairs = admm.coupling_pairs
 
-    def counting_x_update(*args):
+    def counting_coupling_pairs(*args):
         calls.append(1)
-        return x_update(*args)
+        return coupling_pairs(*args)
 
-    monkeypatch.setattr(admm, "x_update", counting_x_update)
+    monkeypatch.setattr(admm, "coupling_pairs", counting_coupling_pairs)
     pinned = [_spec(4, 2, 16, seed, epsilon=0.0, eta=2.0, max_iterations=50)
               for seed in range(3)]
     for spec, result in zip(pinned, solve(pinned)):
