@@ -108,7 +108,7 @@ _STOP_CHECK_EVERY = 10
 _CERTIFIED_GAP = 1e-8
 
 # relative slack of every PAPR-cap comparison against its range edges;
-# it absorbs the roundoff of the dB conversion and of a computed PAPR
+# it absorbs the roundoff of a dB conversion and of a computed PAPR
 _ETA_SLACK = 1e-9
 
 # smallest divisor of a projection; keeps a zero argument finite
@@ -194,39 +194,19 @@ class ProblemSpec:
         return self.reference.n_antennas * self.reference.n_samples
 
 
-def _db_to_linear(value_db: float) -> float:
-    try:
-        return 10.0 ** (value_db / 10.0)
-    except OverflowError:
-        return math.inf
-
-
-def papr_cap(eta: float, n_total: int, *, in_db: bool = True) -> float:
-    """Linear PAPR cap of an eta given in dB, or with in_db=False given
-    linear and taken as it is, for an N*L-sample block.
+def papr_cap(eta: float, n_total: int) -> float:
+    """The linear PAPR cap eta, checked for an N*L-sample block.
 
     A cap outside [1, N*L] by more than a relative 1e-9 is rejected;
     one within that slack is clamped onto the range, so the result is
-    always a valid ProblemSpec.eta.  A linear cap must pass both as
-    given and in its dB form, so one rule holds whichever unit carries
-    it: the dB round trip can move a cap at the slack edge past it.
-    n_total must be at least 1.
+    always a valid ProblemSpec.eta.  n_total must be at least 1.
     """
     if not n_total >= 1:
         raise ValueError(f"n_total = N*L must be >= 1, got {n_total}")
-    given = eta
-    if in_db:
-        eta = _db_to_linear(given)
-    checked = [eta]
-    if not in_db and eta > 0:
-        checked.append(_db_to_linear(10.0 * math.log10(eta)))
-    if not all(1.0 - _ETA_SLACK <= value <= n_total * (1.0 + _ETA_SLACK)
-               for value in checked):
-        shown = f"{eta:g} ({given:g} dB)" if in_db else f"{eta:g}"
+    if not 1.0 - _ETA_SLACK <= eta <= n_total * (1.0 + _ETA_SLACK):
         raise ValueError(
-            f"PAPR cap eta = {shown} must lie in "
-            f"[1, N*L] = [1, {n_total}], i.e. "
-            f"[0 dB, {10.0 * math.log10(n_total):.2f} dB]"
+            f"PAPR cap eta = {eta:g} must lie in [1, N*L] = [1, {n_total}], "
+            f"i.e. [0 dB, {10.0 * math.log10(n_total):.2f} dB]"
         )
     return min(max(float(eta), 1.0), float(n_total))
 

@@ -21,7 +21,8 @@ and ignores it.  Unknown keys and malformed types are rejected with the
 offending path; an out-of-range value, --threads included, is rejected
 by the library object that receives it and reported at the section.  A
 grid that a sweep holds fixed takes exactly one entry.  The PAPR cap is
-given as exactly one of "eta" (linear) or "eta_db".  An --out that is
+given as exactly one of "eta" (linear) or "eta_db", which is converted
+here to the linear cap the library takes.  An --out that is
 not, and cannot become, a directory is rejected before any work.
 
 Exit codes: 0 success; 1 bad config or arguments, including a resolved
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -68,6 +70,11 @@ class ConfigError(ValueError):
         super().__init__(f"config error at {path}: {message}")
 
 
+# the field defaults of the library dataclasses, stated there only
+_SPEC, _EXPERIMENT = ({field.name: field.default
+                       for field in dataclasses.fields(cls)}
+                      for cls in (ProblemSpec, ExperimentConfig))
+
 # field: (type tag, required, default).  Tags check JSON shape only: "int"
 # is not a bool, "number" is finite, "grid" a nonempty number list (scalars
 # promoted), "u64" fits 64 bits; the library checks every range.
@@ -78,10 +85,11 @@ _DESIGN_FIELDS = {
     "epsilon": ("number", True, None),
     "eta": ("number", False, None),
     "eta_db": ("number", False, None),
-    "rho": ("number", False, 1.0),
-    "m_iter": ("int", False, 2000),
-    "feasibility_tolerance": ("number", False, 1e-3),
-    "early_stop": ("bool", False, True),
+    "rho": ("number", False, _SPEC["rho"]),
+    "m_iter": ("int", False, _SPEC["max_iterations"]),
+    "feasibility_tolerance": ("number", False,
+                              _SPEC["feasibility_tolerance"]),
+    "early_stop": ("bool", False, _SPEC["early_stop"]),
     "channel_seed": ("u64", True, None),
     "symbol_seed": ("u64", True, None),
     "constellation": ("str", False, "qpsk"),
@@ -100,11 +108,11 @@ _EXPERIMENT_FIELDS = {
     "eta_db": ("grid", False, None),
     "epsilon": ("grid", True, None),
     "snr_db": ("grid", True, None),
-    "n_trials": ("int", False, 200),
-    "base_seed": ("u64", False, 0),
-    "constellation": ("str", False, "qpsk"),
-    "m_iter": ("int", False, 2000),
-    "snr_convention": ("str", False, "zf-normalized"),
+    "n_trials": ("int", False, _EXPERIMENT["n_trials"]),
+    "base_seed": ("u64", False, _EXPERIMENT["base_seed"]),
+    "constellation": ("str", False, _EXPERIMENT["constellation"]),
+    "m_iter": ("int", False, _EXPERIMENT["m_iter"]),
+    "snr_convention": ("str", False, _EXPERIMENT["snr_convention"]),
 }
 
 _SECTIONS = {"design": _DESIGN_FIELDS, "experiment": _EXPERIMENT_FIELDS}
@@ -162,29 +170,22 @@ def _resolve_section(section: str, raw: dict) -> dict:
     return resolved
 
 
-def _eta_db_list(section_cfg: dict) -> list:
-    """An experiment's PAPR caps in dB, the unit of ExperimentConfig."""
-    if "eta_db" in section_cfg:
-        values = section_cfg["eta_db"]
-        return values if isinstance(values, list) else [values]
-    values = section_cfg["eta"]
-    if not isinstance(values, list):
-        values = [values]
-    n_total = section_cfg["n_antennas"] * section_cfg["n_samples"]
-    caps = []
-    for i, value in enumerate(values):
-        if value <= 0:
-            raise ConfigError(f"experiment.eta[{i}]",
-                              "linear eta must be positive")
-        # range-check and clamp the cap as given, as design does: the
-        # dB round trip can push a cap inside the slack just outside it
-        if n_total >= 1:  # a bad count is named by ExperimentConfig
-            try:
-                value = papr_cap(value, n_total, in_db=False)
-            except ValueError as exc:
-                raise ConfigError(f"experiment.eta[{i}]", str(exc)) from exc
-        caps.append(10.0 * math.log10(value))
-    return caps
+def _db_to_linear(value_db: float) -> float:
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _linear_caps(section_cfg: dict):
+    """The section's PAPR cap, or grid of caps, as linear ratios: "eta"
+    as given, "eta_db" converted.  The library checks the range."""
+    if "eta" in section_cfg:
+        return section_cfg["eta"]
+    values = section_cfg["eta_db"]
+    if isinstance(values, list):
+        return [_db_to_linear(value) for value in values]
+    return _db_to_linear(values)
 
 
 def _apply_sets(fields: dict, section: str, assignments) -> None:
@@ -286,10 +287,7 @@ def cmd_design(cfg: dict, out_dir: str):
         cfg["constellation"], cfg["snr_convention"], cfg["channel_seed"],
         cfg["symbol_seed"], snr_noise_variance(cfg["snr_db"]),
     )
-    n_total = cfg["n_antennas"] * cfg["n_samples"]
-    # a linear cap is range-checked as given, not via dB and back
-    eta = (papr_cap(cfg["eta_db"], n_total) if "eta_db" in cfg
-           else papr_cap(cfg["eta"], n_total, in_db=False))
+    eta = papr_cap(_linear_caps(cfg), cfg["n_antennas"] * cfg["n_samples"])
     reference = chirp_reference(cfg["n_antennas"], cfg["n_samples"])
     spec = ProblemSpec(
         channel=channel, symbols=symbols, reference=reference,
@@ -333,7 +331,7 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         k_users=cfg["k_users"],
         n_samples=cfg["n_samples"],
         rho_grid=tuple(cfg["rho"]),
-        eta_grid_db=tuple(_eta_db_list(cfg)),
+        eta_grid=tuple(_linear_caps(cfg)),
         epsilon_grid=tuple(cfg["epsilon"]),
         snr_grid_db=tuple(cfg["snr_db"]),
         n_trials=cfg["n_trials"],
@@ -397,12 +395,12 @@ def main(argv=None) -> int:
                 raise ConfigError(name, "use --set, not the environment")
         _apply_sets(fields, section, args.assignments)
 
+        # --seed is range-checked here: a config field the command line
+        # fills must not be blamed for the flag's value
         if args.seed is not None:
             if section == "experiment":
-                fields["base_seed"] = args.seed
+                fields["base_seed"] = _check_type("--seed", "u64", args.seed)
             else:
-                # range-checked here: a config field the command line
-                # fills must not be blamed for the flag's value
                 for key, flag, value in (
                         ("channel_seed", "--seed", args.seed),
                         ("symbol_seed", "--seed + 1", args.seed + 1)):

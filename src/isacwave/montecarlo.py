@@ -76,17 +76,20 @@ class ExperimentConfig:
 
     Each driver sweeps its own grids and holds the others fixed; a grid
     held fixed must have exactly one entry, or the driver raises
-    ValueError before any solve: run_ccdf sweeps (rho_grid, eta_grid_db)
-    at the one epsilon; run_sumrate sweeps (epsilon_grid, eta_grid_db) at
+    ValueError before any solve: run_ccdf sweeps (rho_grid, eta_grid)
+    at the one epsilon; run_sumrate sweeps (epsilon_grid, eta_grid) at
     the one rho and SNR; run_ser sweeps snr_grid_db at the one rho, eta
     and epsilon.  run_ccdf does not read snr_grid_db.
+
+    eta_grid holds linear PAPR caps, as ProblemSpec.eta does; each is
+    checked and clamped once, by :func:`~isacwave.admm.papr_cap`.
     """
 
     n_antennas: int
     k_users: int
     n_samples: int
     rho_grid: tuple
-    eta_grid_db: tuple
+    eta_grid: tuple
     epsilon_grid: tuple
     snr_grid_db: tuple
     n_trials: int = 200
@@ -110,7 +113,7 @@ class ExperimentConfig:
                 f"need k_users <= n_antennas, got K={self.k_users} > "
                 f"N={self.n_antennas}"
             )
-        for name in ("rho_grid", "eta_grid_db", "epsilon_grid",
+        for name in ("rho_grid", "eta_grid", "epsilon_grid",
                      "snr_grid_db"):
             grid = tuple(float(g) for g in getattr(self, name))
             if not grid:
@@ -122,8 +125,9 @@ class ExperimentConfig:
             raise ValueError("rho_grid entries must be finite and > 0")
         if not all(e >= 0 for e in self.epsilon_grid):
             raise ValueError("epsilon_grid entries must be finite and >= 0")
-        for eta_db in self.eta_grid_db:
-            papr_cap(eta_db, self.n_antennas * self.n_samples)
+        n_total = self.n_antennas * self.n_samples
+        object.__setattr__(self, "eta_grid", tuple(
+            papr_cap(eta, n_total) for eta in self.eta_grid))
         for snr_db in self.snr_grid_db:
             snr_noise_variance(snr_db)
         constellation_points(self.constellation)  # rejects unknown names
@@ -135,7 +139,7 @@ class ExperimentConfig:
 
     def as_dict(self) -> dict:
         plain = asdict(self)
-        for name in ("rho_grid", "eta_grid_db", "epsilon_grid",
+        for name in ("rho_grid", "eta_grid", "epsilon_grid",
                      "snr_grid_db"):
             plain[name] = list(plain[name])
         return plain
@@ -292,7 +296,7 @@ def detect_qpsk(received, constellation="qpsk") -> np.ndarray:
 
 
 # what a grid holds, for the message that rejects a second entry
-_GRID_QUANTITIES = {"rho_grid": "rho", "eta_grid_db": "PAPR cap",
+_GRID_QUANTITIES = {"rho_grid": "rho", "eta_grid": "PAPR cap",
                     "epsilon_grid": "epsilon", "snr_grid_db": "SNR"}
 
 
@@ -336,10 +340,9 @@ def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     solve.  Each trial is drawn once and designed at every pair.
     """
     [epsilon] = _fixed_entries(cfg, "epsilon_grid")
-    n_total = cfg.n_antennas * cfg.n_samples
-    grid = _labelled((f"rho={rho:g},eta={eta_db:g}dB",
-                      (epsilon, papr_cap(eta_db, n_total), rho))
-                     for rho in cfg.rho_grid for eta_db in cfg.eta_grid_db)
+    grid = _labelled((f"rho={rho:g},eta={10.0 * math.log10(eta):g}dB",
+                      (epsilon, eta, rho))
+                     for rho in cfg.rho_grid for eta in cfg.eta_grid)
     fn = partial(_ccdf_trials, cfg, list(grid.values()))
     samples = np.array(_map_trials(fn, range(cfg.n_trials), threads,
                                    len(grid)))
@@ -389,8 +392,7 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     single SNR point and a single rho.
     """
     snr_db, rho = _fixed_entries(cfg, "snr_grid_db", "rho_grid")
-    snr = 10.0 ** (snr_db / 10.0)
-    noise_variance = 1.0 / snr
+    noise_variance = snr_noise_variance(snr_db)
     axis = np.array(cfg.epsilon_grid, dtype=float)
     trials = range(cfg.n_trials)
 
@@ -400,12 +402,10 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
             return 0.0
         return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
-    grid = _labelled((f"eta={10.0 ** (eta_db / 10.0):g}", eta_db)
-                     for eta_db in cfg.eta_grid_db)
+    grid = _labelled((f"eta={eta:g}", eta) for eta in cfg.eta_grid)
     series = {}
     sems = {}
-    for label, eta_db in grid.items():
-        eta = papr_cap(eta_db, cfg.n_antennas * cfg.n_samples)
+    for label, eta in grid.items():
         rates = np.empty(axis.size)
         errs = np.empty(axis.size)
         for j, epsilon in enumerate(axis):
@@ -421,7 +421,8 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     zero_trials = _map_trials(fn, trials, threads)
     series["zero_mui"] = np.full(axis.size, float(np.mean(zero_trials)))
     sems["zero_mui"] = [_sem(zero_trials)] * axis.size
-    series["awgn_capacity"] = np.full(axis.size, kpi.awgn_capacity_per_user(snr))
+    series["awgn_capacity"] = np.full(
+        axis.size, kpi.awgn_capacity_per_user(10.0 ** (snr_db / 10.0)))
     sems["awgn_capacity"] = [0.0] * axis.size
     return CurveTable(
         axis_name="epsilon",
@@ -536,9 +537,8 @@ def run_ser(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
         raise ValueError("run_ser is defined for the qpsk constellation")
     sigma2s = tuple(map(snr_noise_variance, cfg.snr_grid_db))
     per_trial = cfg.k_users * cfg.n_samples
-    epsilon, eta_db, rho = _fixed_entries(cfg, "epsilon_grid", "eta_grid_db",
-                                          "rho_grid")
-    eta = papr_cap(eta_db, cfg.n_antennas * cfg.n_samples)
+    epsilon, eta, rho = _fixed_entries(cfg, "epsilon_grid", "eta_grid",
+                                       "rho_grid")
 
     series, stats = {}, {}
     for label, chunk_fn, workers in (
@@ -559,7 +559,7 @@ def run_ser(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
         axis_name="snr_db",
         axis_values=np.array(cfg.snr_grid_db, dtype=float),
         series=series,
-        metadata=_metadata(cfg, epsilon=epsilon, eta_db=eta_db,
+        metadata=_metadata(cfg, epsilon=epsilon, eta=eta,
                            rho=rho, series_stats=stats),
     )
 

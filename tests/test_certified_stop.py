@@ -122,7 +122,7 @@ def test_a_design_without_early_stop_runs_its_budget():
 
 def test_a_sweep_spec_runs_m_iter_iterations():
     cfg = ExperimentConfig(n_antennas=N, k_users=K, n_samples=L,
-                           rho_grid=(1.0,), eta_grid_db=(4.77,),
+                           rho_grid=(1.0,), eta_grid=(3.0,),
                            epsilon_grid=(1.0,), snr_grid_db=(10.0,),
                            n_trials=6, m_iter=300, snr_convention="raw")
     solved = montecarlo._solve_trials(cfg, [(1.0, 3.0, 1.0)], range(6))

@@ -230,11 +230,15 @@ class TestConfigValidation:
         ("design", _design_config(channel_seed=None, symbol_seed=None),
          ("--seed", str(2 ** 64 - 1)), cli.EXIT_BAD_CONFIG,
          "config error at --seed + 1: "),
+        # a sweep's --seed fills base_seed, and the flag is named too
+        ("ccdf", _experiment_config(), ("--seed", "-1"), cli.EXIT_BAD_CONFIG,
+         "config error at --seed: "),
     ], ids=["design-8psk", "design-zf-k-above-n", "design-eta-db-overflow",
             "ser-16qam", "sumrate-two-snr", "ccdf-raw-singular",
             "ser-raw-singular", "design-snr-low", "design-snr-high",
             "ser-snr-low", "ser-snr-high", "sumrate-snr-low",
-            "sumrate-snr-high", "ccdf-two-epsilon", "design-seed-overflow"])
+            "sumrate-snr-high", "ccdf-two-epsilon", "design-seed-overflow",
+            "ccdf-seed-negative"])
     def test_library_rejections_exit_with_documented_code(
             self, tmp_path, monkeypatch, capsys, command, config, extra,
             expected, named):
@@ -518,6 +522,19 @@ class TestPaprCapRule:
         assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
         assert caps == [64.0]
 
+        # a sweep keeps its linear caps linear too: 80 is not 79.99999999999996
+        sweep_caps = []
+        sweep_solve = montecarlo.solve
+        monkeypatch.setattr(
+            montecarlo, "solve",
+            lambda specs: sweep_caps.extend(s.eta for s in specs)
+            or sweep_solve(specs))
+        config = _experiment_config(n_antennas=5, n_samples=16, eta_db=None,
+                                    eta=[80], n_trials=1, m_iter=1)
+        code, _ = _run(tmp_path, "sumrate", config)
+        assert code == cli.EXIT_OK
+        assert sweep_caps == [80.0]
+
     @settings(max_examples=60, deadline=None)
     @given(n_antennas=st.integers(1, 6), n_samples=st.integers(1, 12),
            upper_edge=st.booleans(), rel=st.floats(-1e-8, 1e-8),
@@ -554,8 +571,8 @@ class TestPaprCapRule:
         if excess > 2e-9:
             assert not design_accepts
         if design_accepts:
-            eta_db = 10.0 * math.log10(eta) if not as_db else cap["eta_db"]
-            linear = papr_cap(eta_db, n_total)
+            linear = papr_cap(
+                10.0 ** (cap["eta_db"] / 10.0) if as_db else eta, n_total)
             assert 1.0 <= linear <= n_total
             ProblemSpec(
                 channel=draw_channel(1, ArrayConfig(n_antennas), 1.0, 1),

@@ -29,12 +29,15 @@ from isacwave.signal_model import (
 )
 
 
-def _cfg(**kw):
+def _cfg(eta_grid_db=None, **kw):
+    # eta_grid_db gives the linear eta_grid in dB, as the CLI converts it
     defaults = dict(
         n_antennas=4, k_users=2, n_samples=8,
-        rho_grid=(1.0,), eta_grid_db=(4.0,), epsilon_grid=(1.0,),
+        rho_grid=(1.0,), eta_grid=(10.0 ** 0.4,), epsilon_grid=(1.0,),
         snr_grid_db=(10.0,), n_trials=6, base_seed=11, m_iter=150,
     )
+    if eta_grid_db is not None:
+        defaults["eta_grid"] = tuple(10.0 ** (e / 10.0) for e in eta_grid_db)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
 
@@ -54,9 +57,9 @@ class TestExperimentConfig:
         ("base_seed", -1),
         ("rho_grid", ()),
         ("rho_grid", (0.0,)),
-        ("eta_grid_db", ()),
-        ("eta_grid_db", (-1.0,)),
-        ("eta_grid_db", (40.0,)),
+        ("eta_grid", ()),
+        ("eta_grid", (10.0 ** -0.1,)),
+        ("eta_grid", (1e4,)),
         ("epsilon_grid", ()),
         ("epsilon_grid", (-0.5,)),
         ("snr_grid_db", ()),
@@ -289,7 +292,7 @@ class TestFixedGrids:
         (run_sumrate, "rho_grid"),
         (run_sumrate, "snr_grid_db"),
         (run_ser, "rho_grid"),
-        (run_ser, "eta_grid_db"),
+        (run_ser, "eta_grid"),
         (run_ser, "epsilon_grid"),
     ], ids=["ccdf-epsilon", "sumrate-rho", "sumrate-snr", "ser-rho",
             "ser-eta", "ser-epsilon"])
