@@ -32,7 +32,6 @@ from .montecarlo import (
     run_sumrate,
 )
 from .signal_model import (
-    ArrayConfig,
     ChannelRealization,
     ReferenceWaveform,
     SymbolBlock,
@@ -49,7 +48,6 @@ from .signal_model import (
 
 __all__ = [
     "AdmmState",
-    "ArrayConfig",
     "ChannelRealization",
     "ConstraintViolations",
     "CurveTable",

@@ -228,7 +228,6 @@ class AdmmState:
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    iteration: int = 0
 
     @classmethod
     def initial(cls, n_total: int, batch: tuple = ()) -> "AdmmState":

@@ -281,11 +281,13 @@ def _write_manifest(out_dir: str, command: str, config: dict, seed,
 
 
 def cmd_design(cfg: dict, out_dir: str):
-    # draw first: the draws name a bad count before papr_cap takes N*L
+    # a bad snr_db is named before any draw, and the draws name a bad
+    # count before papr_cap takes N*L
+    noise_variance = snr_noise_variance(cfg["snr_db"])
     channel, symbols = draw_instance(
         cfg["n_antennas"], cfg["k_users"], cfg["n_samples"],
         cfg["constellation"], cfg["snr_convention"], cfg["channel_seed"],
-        cfg["symbol_seed"], snr_noise_variance(cfg["snr_db"]),
+        cfg["symbol_seed"],
     )
     eta = papr_cap(_linear_caps(cfg), cfg["n_antennas"] * cfg["n_samples"])
     reference = chirp_reference(cfg["n_antennas"], cfg["n_samples"])
@@ -313,7 +315,8 @@ def cmd_design(cfg: dict, out_dir: str):
         "rho_trajectory": [[iteration, rho]
                            for iteration, rho in result.rho_trajectory],
     }
-    report = kpi.build_report(channel, result.waveform, symbols, reference)
+    report = kpi.build_report(channel, result.waveform, symbols, reference,
+                              noise_variance)
     paths = []
     for name, doc in (("waveform.json", waveform_doc),
                       ("kpi.json", report.as_dict())):

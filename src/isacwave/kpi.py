@@ -134,9 +134,14 @@ def build_report(
     waveform: Waveform,
     symbols: SymbolBlock,
     reference: ReferenceWaveform,
+    noise_variance: float,
 ) -> KpiReport:
-    """Evaluate every KPI of a designed block against its scenario."""
-    sinr = sinr_per_user(channel, waveform, symbols, channel.noise_variance)
+    """Evaluate every KPI of a designed block against its scenario.
+
+    ``noise_variance`` is the receiver noise the rates are evaluated
+    at; the design itself does not depend on it.
+    """
+    sinr = sinr_per_user(channel, waveform, symbols, noise_variance)
     rates = np.log2(1.0 + sinr)
     p_lin = papr(waveform.vec)
     return KpiReport(

@@ -15,11 +15,15 @@ SNR convention.  With "zf-normalized" (the default) each trial rescales
 the drawn channel so the zero-forcing block has exactly unit energy.
 The designed block then spends its unit energy budget against a noise
 variance of 1/SNR, which gives the convention its meaning: a block with
-no residual interference attains a per-user SINR equal to the SNR, the
-zero-MUI baseline transmits the symbols themselves over additive noise,
-and its symbol error rate obeys the closed-form QPSK expression.  With
-"raw" the channel is used as drawn and SNR keeps only its nominal
-reading 1/sigma^2; the zero-MUI baseline is then no longer calibrated.
+no residual interference attains a per-user SINR equal to the SNR.
+With "raw" the channel is used as drawn and SNR keeps only its nominal
+reading 1/sigma^2.  The two zero-MUI baselines read the convention
+differently.  The sumrate baseline sends the unit-energy zero-forcing
+block over the trial's channel: it attains log2(1 + SNR) under
+"zf-normalized" and is no longer calibrated under "raw".  The SER
+baseline draws no channel and sends the symbols themselves over
+additive noise, so under either convention it is the calibrated AWGN
+curve of the closed-form QPSK expression.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import numpy as np
 from . import __version__, kpi
 from .admm import ProblemSpec, papr_cap, solve, zero_forcing_target
 from .signal_model import (
-    ArrayConfig,
     ChannelRealization,
     chirp_reference,
     constellation_points,
@@ -192,35 +195,33 @@ def _noise_rng(cfg: ExperimentConfig, trial: int, *extra):
 
 def draw_instance(n_antennas: int, k_users: int, n_samples: int,
                   constellation: str, snr_convention: str, channel_seed: int,
-                  symbol_seed: int, noise_variance: float):
+                  symbol_seed: int):
     """Draw one (channel, symbols) design instance from two seeds.
 
-    Under the zf-normalized convention the channel is rescaled so the
-    zero-forcing block has unit energy; the rescale factor is determined
-    by the draw itself, keeping the stream layout identical across
-    conventions.
+    The instance holds only what the design reads: the receiver noise
+    enters when a finished block is evaluated.  Under the zf-normalized
+    convention the channel is rescaled so the zero-forcing block has
+    unit energy; the rescale factor is determined by the draw itself,
+    keeping the stream layout identical across conventions.
     """
     if snr_convention not in SNR_CONVENTIONS:
         raise ValueError(f"snr_convention must be one of {SNR_CONVENTIONS}")
-    channel = draw_channel(k_users, ArrayConfig(n_antennas=n_antennas),
-                           noise_variance=noise_variance,
-                           rng_seed=channel_seed)
+    channel = draw_channel(k_users, n_antennas, rng_seed=channel_seed)
     symbols = draw_symbols(k_users, n_samples, constellation,
                            rng_seed=symbol_seed)
     if snr_convention == "zf-normalized":
         scale = float(np.linalg.norm(zero_forcing_target(channel, symbols)))
-        channel = ChannelRealization(matrix=channel.matrix * scale,
-                                     noise_variance=noise_variance)
+        channel = ChannelRealization(channel.matrix * scale)
     return channel, symbols
 
 
 def _trial_instance(cfg: ExperimentConfig, trial: int):
-    """The instance of one trial, on the unit-noise trial streams."""
+    """The instance of one trial, on that trial's streams."""
     return draw_instance(
         cfg.n_antennas, cfg.k_users, cfg.n_samples, cfg.constellation,
         cfg.snr_convention,
         _stream_seed(cfg.base_seed, trial, _PURPOSE_CHANNEL),
-        _stream_seed(cfg.base_seed, trial, _PURPOSE_SYMBOLS), 1.0,
+        _stream_seed(cfg.base_seed, trial, _PURPOSE_SYMBOLS),
     )
 
 
@@ -481,8 +482,10 @@ def _ser_designed_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
 
 def _ser_zero_mui_trials(cfg: ExperimentConfig, sigma2s: tuple,
                          open_points: np.ndarray, trials) -> np.ndarray:
-    # the unit-energy zero-forcing block delivers the symbols themselves,
-    # so only the symbol and noise streams are consumed
+    # the baseline link receives the symbols themselves plus noise, what
+    # the unit-energy zero-forcing block delivers under "zf-normalized";
+    # no channel is drawn, so the series is the same under either
+    # convention and only the symbol and noise streams are consumed
     sent = np.stack([
         draw_symbols(
             cfg.k_users,

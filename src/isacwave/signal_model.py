@@ -5,7 +5,6 @@ complex matrix X.  The optimizer works on the vectorized block
 x = vec(X) (column-major, length N*L) and on its real lifting
 x_bar = [Re(x); Im(x)] (length 2*N*L).  This module provides:
 
-* the array size,
 * Rayleigh channel and constellation-symbol draws (explicitly seeded),
 * the unit-energy chirp block used as the radar reference,
 * vec / lift round-trip helpers shared by the solver and the KPIs.
@@ -50,23 +49,14 @@ def constellation_points(name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ArrayConfig:
-    """Transmit array: the antenna count."""
-
-    n_antennas: int
-
-    def __post_init__(self) -> None:
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be >= 1")
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
-    """Flat-fading downlink channel H (K users x N antennas) plus the
-    receiver noise variance that applies to this realization."""
+    """Flat-fading downlink channel H (K users x N antennas).
+
+    The receiver noise is not part of the channel: it enters only when a
+    finished block is evaluated (see :mod:`isacwave.kpi`).
+    """
 
     matrix: np.ndarray
-    noise_variance: float
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -74,8 +64,6 @@ class ChannelRealization:
             raise ValueError("channel matrix must be 2-D (users x antennas)")
         if not np.all(np.isfinite(m)):
             raise ValueError("channel matrix must be finite")
-        if not self.noise_variance >= 0:
-            raise ValueError("noise_variance must be >= 0")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -106,20 +94,20 @@ def snr_noise_variance(snr_db: float) -> float:
     return noise_variance
 
 
-def draw_channel(
-    k_users: int, cfg: ArrayConfig, noise_variance: float, rng_seed: int
-) -> ChannelRealization:
+def draw_channel(k_users: int, n_antennas: int, rng_seed: int) -> ChannelRealization:
     """Draw H with i.i.d. unit-variance complex normal entries.
 
     Each entry is (a + jb)/sqrt(2) with a, b standard normal, so
     E|h|^2 = 1.  The draw is a pure function of the seed.
     """
+    if n_antennas < 1:
+        raise ValueError("n_antennas must be >= 1")
     if k_users < 1:
         raise ValueError("k_users must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    shape = (k_users, cfg.n_antennas)
+    shape = (k_users, n_antennas)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return ChannelRealization(h, noise_variance)
+    return ChannelRealization(h)
 
 
 @dataclass(frozen=True)
@@ -127,7 +115,6 @@ class SymbolBlock:
     """K x L matrix of constellation symbols intended for the K users."""
 
     symbols: np.ndarray
-    constellation: str
 
     def __post_init__(self) -> None:
         s = np.asarray(self.symbols, dtype=complex)
@@ -155,7 +142,7 @@ def draw_symbols(
     points = constellation_points(constellation)
     rng = np.random.default_rng(rng_seed)
     idx = rng.integers(0, len(points), size=(k_users, n_samples))
-    return SymbolBlock(points[idx], constellation.lower())
+    return SymbolBlock(points[idx])
 
 
 @dataclass(frozen=True)

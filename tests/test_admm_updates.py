@@ -10,7 +10,6 @@ import pytest
 
 from isacwave import admm
 from isacwave.signal_model import (
-    ArrayConfig,
     chirp_reference,
     draw_channel,
     draw_symbols,
@@ -220,7 +219,7 @@ def test_each_consensus_gap_is_formed_once_per_iteration(monkeypatch):
                         lambda x_bar: calls.append(1) or pairs(x_bar))
     n_antennas, n_samples = 2, 4
     spec = admm.ProblemSpec(
-        channel=draw_channel(1, ArrayConfig(n_antennas), 0.1, rng_seed=1),
+        channel=draw_channel(1, n_antennas, rng_seed=1),
         symbols=draw_symbols(1, n_samples, "qpsk", rng_seed=2),
         reference=chirp_reference(n_antennas, n_samples),
         epsilon=1.0, eta=2.0, max_iterations=7,

@@ -17,7 +17,6 @@ from isacwave import montecarlo
 from isacwave.admm import ProblemSpec, lower_bound, solve
 from isacwave.montecarlo import ExperimentConfig
 from isacwave.signal_model import (
-    ArrayConfig,
     chirp_reference,
     draw_channel,
     draw_symbols,
@@ -90,8 +89,7 @@ N, K, L = 4, 2, 16
 
 
 def _spec(seed, **kw):
-    channel = draw_channel(K, ArrayConfig(n_antennas=N), noise_variance=0.1,
-                           rng_seed=1000 + seed)
+    channel = draw_channel(K, N, rng_seed=1000 + seed)
     symbols = draw_symbols(K, L, "qpsk", rng_seed=2000 + seed)
     return ProblemSpec(channel=channel, symbols=symbols,
                        reference=chirp_reference(N, L), **kw)

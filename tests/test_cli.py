@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from isacwave import cli, kpi, montecarlo
 from isacwave.admm import ProblemSpec, papr_cap
 from isacwave.signal_model import (
-    ArrayConfig,
     ChannelRealization,
     chirp_reference,
     draw_channel,
@@ -53,9 +52,9 @@ def _run(tmp_path, command, config, *extra):
     return code, out
 
 
-def _rank_deficient(k_users, cfg, noise_variance, rng_seed):
-    row = np.ones((1, cfg.n_antennas), dtype=complex)
-    return ChannelRealization(np.vstack([row] * k_users), noise_variance)
+def _rank_deficient(k_users, n_antennas, rng_seed):
+    row = np.ones((1, n_antennas), dtype=complex)
+    return ChannelRealization(np.vstack([row] * k_users))
 
 
 class TestConfigValidation:
@@ -344,6 +343,24 @@ class TestDesignCommand:
             "energy", "similarity", "papr"}
         assert waveform["rho_trajectory"][0] == [0, 1.0]
 
+    def test_noise_enters_only_the_evaluation(self, tmp_path):
+        # the design reads the channel, symbols, chirp and caps, so the
+        # same block comes out at any snr_db; only the KPIs move
+        runs = {}
+        for snr_db in (10.0, 20.0):
+            run_dir = tmp_path / f"snr-{snr_db:g}"
+            run_dir.mkdir()
+            code, out = _run(run_dir, "design", _design_config(snr_db=snr_db))
+            assert code == cli.EXIT_OK
+            with open(os.path.join(out, "waveform.json"), "rb") as handle:
+                waveform = handle.read()
+            with open(os.path.join(out, "kpi.json"), encoding="utf-8") as handle:
+                sinr = json.load(handle)["per_user_sinr"]
+            assert max(sinr) <= 10.0 ** (snr_db / 10.0)
+            runs[snr_db] = waveform, np.array(sinr)
+        assert runs[10.0][0] == runs[20.0][0]
+        assert np.all(runs[20.0][1] > runs[10.0][1])
+
     def test_epsilon_zero_emits_reference(self, tmp_path):
         code, out = _run(tmp_path, "design", _design_config(epsilon=0.0))
         assert code == cli.EXIT_OK
@@ -575,7 +592,7 @@ class TestPaprCapRule:
                 10.0 ** (cap["eta_db"] / 10.0) if as_db else eta, n_total)
             assert 1.0 <= linear <= n_total
             ProblemSpec(
-                channel=draw_channel(1, ArrayConfig(n_antennas), 1.0, 1),
+                channel=draw_channel(1, n_antennas, 1),
                 symbols=draw_symbols(1, n_samples, "qpsk", 2),
                 reference=chirp_reference(n_antennas, n_samples),
                 epsilon=1.0, eta=linear,

@@ -7,8 +7,8 @@ from isacwave import kpi
 from isacwave import signal_model as sm
 
 
-def _identity_channel(k, noise_variance=0.1):
-    return sm.ChannelRealization(np.eye(k, dtype=complex), noise_variance)
+def _identity_channel(k):
+    return sm.ChannelRealization(np.eye(k, dtype=complex))
 
 
 def test_mui_energy_zero_when_target_is_met_exactly():
@@ -143,11 +143,11 @@ def test_ccdf_rejects_empty_samples():
 
 def test_build_report_is_consistent_with_individual_metrics():
     rng_seed = 8
-    ch = sm.draw_channel(2, sm.ArrayConfig(4), 0.1, rng_seed)
+    ch = sm.draw_channel(2, 4, rng_seed)
     s = sm.draw_symbols(2, 16, "qpsk", rng_seed + 1)
     ref = sm.chirp_reference(4, 16)
     w = sm.Waveform(ref.entries)
-    report = kpi.build_report(ch, w, s, ref)
+    report = kpi.build_report(ch, w, s, ref, 0.1)
     assert report.mui_energy == pytest.approx(kpi.mui_energy(ch, w, s))
     assert report.sum_rate == pytest.approx(sum(report.per_user_rate))
     assert report.sum_rate == pytest.approx(

@@ -21,7 +21,6 @@ from isacwave.montecarlo import (
     run_sumrate,
 )
 from isacwave.signal_model import (
-    ArrayConfig,
     chirp_reference,
     constellation_points,
     draw_channel,
@@ -416,7 +415,31 @@ class TestSnrConventions:
         # a typo must not fall through to the raw channel
         with pytest.raises(ValueError, match="snr_convention"):
             montecarlo.draw_instance(4, 2, 8, "qpsk", "zf_normalized",
-                                     1, 2, 1.0)
+                                     1, 2)
+
+    def test_zero_mui_baselines_under_each_convention(self):
+        # the SER baseline draws no channel, so it is the same calibrated
+        # AWGN curve under either convention; the sumrate baseline sends
+        # the unit-energy zero-forcing block over the drawn channel, which
+        # reaches log2(1 + SNR) only once the channel is normalized
+        kw = dict(n_antennas=5, k_users=2, n_samples=16, base_seed=3,
+                  m_iter=5)
+        ser = {c: run_ser(_cfg(snr_grid_db=(0.0, 4.0), snr_convention=c,
+                               **kw))
+               for c in montecarlo.SNR_CONVENTIONS}
+        normalized, raw = ser["zf-normalized"], ser["raw"]
+        np.testing.assert_array_equal(raw.series["zero_mui"],
+                                      normalized.series["zero_mui"])
+        assert (raw.metadata["series_stats"]["zero_mui"]
+                == normalized.metadata["series_stats"]["zero_mui"])
+        # the convention did reach the designed series
+        assert not np.array_equal(raw.series["designed"],
+                                  normalized.series["designed"])
+        rate = {c: run_sumrate(_cfg(n_trials=4, snr_convention=c, **kw))
+                .series["zero_mui"][0]
+                for c in montecarlo.SNR_CONVENTIONS}
+        assert rate["zf-normalized"] == pytest.approx(math.log2(11.0))
+        assert rate["raw"] < 0.9 * math.log2(11.0)
 
 
 class TestTrialStacks:

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from isacwave import admm
 from isacwave.admm import ProblemSpec, solve, zero_forcing_target
 from isacwave.signal_model import (
-    ArrayConfig,
     ChannelRealization,
     ReferenceWaveform,
     SymbolBlock,
@@ -30,8 +29,7 @@ from isacwave.signal_model import (
 
 
 def _spec(n, k, n_samples, seed, **kw):
-    channel = draw_channel(k, ArrayConfig(n_antennas=n), noise_variance=0.1,
-                           rng_seed=seed)
+    channel = draw_channel(k, n, rng_seed=seed)
     symbols = draw_symbols(k, n_samples, "qpsk", rng_seed=seed + 7919)
     return ProblemSpec(channel=channel, symbols=symbols,
                        reference=chirp_reference(n, n_samples), **kw)
@@ -233,8 +231,8 @@ def _exact_instance(symbols, reference, **kw):
     # identity channel: the zero-forcing block is the symbol block itself
     n = len(reference)
     return ProblemSpec(
-        channel=ChannelRealization(np.eye(n, dtype=complex), 0.1),
-        symbols=SymbolBlock(np.asarray(symbols, dtype=complex), "qpsk"),
+        channel=ChannelRealization(np.eye(n, dtype=complex)),
+        symbols=SymbolBlock(np.asarray(symbols, dtype=complex)),
         reference=ReferenceWaveform(np.asarray(reference, dtype=complex)),
         max_iterations=150, **kw)
 

@@ -13,7 +13,6 @@ from isacwave.admm import (
     zero_forcing_target,
 )
 from isacwave.signal_model import (
-    ArrayConfig,
     ChannelRealization,
     ReferenceWaveform,
     SymbolBlock,
@@ -24,13 +23,11 @@ from isacwave.signal_model import (
 )
 
 N, K, L = 4, 2, 16
-CFG = ArrayConfig(n_antennas=N)
 CHIRP = chirp_reference(N, L)
 
 
 def _instance(seed, k=K, n=N, n_samples=L):
-    channel = draw_channel(k, ArrayConfig(n_antennas=n), noise_variance=0.1,
-                           rng_seed=seed)
+    channel = draw_channel(k, n, rng_seed=seed)
     symbols = draw_symbols(k, n_samples, "qpsk", rng_seed=50000 + seed)
     return channel, symbols
 
@@ -38,7 +35,7 @@ def _instance(seed, k=K, n=N, n_samples=L):
 def _cycling_spec(**kw):
     # instance 0 of the acceptance feasibility suite: at a fixed rho = 1
     # it settles into a period-2 orbit with plateaued residuals
-    channel = draw_channel(K, CFG, noise_variance=0.1, rng_seed=1000)
+    channel = draw_channel(K, N, rng_seed=1000)
     symbols = draw_symbols(K, L, "qpsk", rng_seed=2000)
     defaults = dict(channel=channel, symbols=symbols, reference=CHIRP,
                     epsilon=0.5, eta=1.5, rho=1.0, max_iterations=2000)
@@ -77,7 +74,7 @@ class TestProblemSpecValidation:
                         epsilon=1.0, eta=2.0)
 
     def test_more_users_than_antennas_rejected(self):
-        channel = draw_channel(5, CFG, noise_variance=0.1, rng_seed=1)
+        channel = draw_channel(5, N, rng_seed=1)
         symbols = draw_symbols(5, L, "qpsk", rng_seed=2)
         with pytest.raises(ValueError, match="k_users <= n_antennas"):
             ProblemSpec(channel=channel, symbols=symbols, reference=CHIRP,
@@ -131,10 +128,8 @@ class TestProblemSpecValidation:
         # single antenna, two samples, PAPR = 0.8 / 0.5 = 1.6
         ref = ReferenceWaveform(np.array([[np.sqrt(0.8), np.sqrt(0.2)]],
                                          dtype=complex))
-        channel = ChannelRealization(matrix=np.array([[1.0 + 0j]]),
-                                     noise_variance=0.1)
-        symbols = SymbolBlock(np.ones((1, 2), dtype=complex) / np.sqrt(2),
-                              constellation="qpsk")
+        channel = ChannelRealization(matrix=np.array([[1.0 + 0j]]))
+        symbols = SymbolBlock(np.ones((1, 2), dtype=complex) / np.sqrt(2))
         with pytest.raises(ValueError, match="PAPR"):
             ProblemSpec(channel=channel, symbols=symbols, reference=ref,
                         epsilon=0.0, eta=1.5)
@@ -148,8 +143,7 @@ class TestProblemSpecValidation:
 
 class TestZeroForcingTarget:
     def test_identity_channel_returns_symbols(self):
-        channel = ChannelRealization(matrix=np.eye(2, dtype=complex),
-                                     noise_variance=0.1)
+        channel = ChannelRealization(matrix=np.eye(2, dtype=complex))
         symbols = draw_symbols(2, 5, "qpsk", rng_seed=11)
         target = zero_forcing_target(channel, symbols)
         np.testing.assert_allclose(target,
@@ -157,9 +151,8 @@ class TestZeroForcingTarget:
 
     def test_diagonal_channel_hand_value(self):
         channel = ChannelRealization(
-            matrix=np.diag([1.0, 2.0]).astype(complex), noise_variance=0.1)
-        symbols = SymbolBlock(np.array([[2.0], [2.0]], dtype=complex),
-                              constellation="qpsk")
+            matrix=np.diag([1.0, 2.0]).astype(complex))
+        symbols = SymbolBlock(np.array([[2.0], [2.0]], dtype=complex))
         target = zero_forcing_target(channel, symbols)
         np.testing.assert_allclose(target, [2.0, 1.0])
 
@@ -183,14 +176,13 @@ class TestZeroForcingTarget:
 
     def test_dependent_rows_raise(self):
         row = np.array([1.0 + 1j, 2.0, -1j, 0.5])
-        channel = ChannelRealization(matrix=np.vstack([row, 2 * row]),
-                                     noise_variance=0.1)
+        channel = ChannelRealization(matrix=np.vstack([row, 2 * row]))
         symbols = draw_symbols(2, L, "qpsk", rng_seed=1)
         with pytest.raises(SingularChannelError):
             zero_forcing_target(channel, symbols)
 
     def test_wide_channel_rejected(self):
-        channel = draw_channel(5, CFG, noise_variance=0.1, rng_seed=1)
+        channel = draw_channel(5, N, rng_seed=1)
         symbols = draw_symbols(5, L, "qpsk", rng_seed=2)
         with pytest.raises(ValueError):
             zero_forcing_target(channel, symbols)
@@ -222,7 +214,7 @@ class TestSolve:
         assert np.linalg.norm(result.waveform.vec - CHIRP.vec) <= 1e-3
 
     def test_moderate_instance_feasible_at_default_penalty(self):
-        channel = draw_channel(K, CFG, noise_variance=0.1, rng_seed=7)
+        channel = draw_channel(K, N, rng_seed=7)
         symbols = draw_symbols(K, L, "qpsk", rng_seed=8)
         spec = ProblemSpec(channel=channel, symbols=symbols, reference=CHIRP,
                            epsilon=1.0, eta=2.0, rho=1.0, max_iterations=2000)
@@ -296,8 +288,7 @@ class TestSolve:
 
     def test_singular_channel_propagates(self):
         row = np.ones(N, dtype=complex)
-        channel = ChannelRealization(matrix=np.vstack([row, row]),
-                                     noise_variance=0.1)
+        channel = ChannelRealization(matrix=np.vstack([row, row]))
         symbols = draw_symbols(K, L, "qpsk", rng_seed=9)
         spec = ProblemSpec(channel=channel, symbols=symbols, reference=CHIRP,
                            epsilon=1.0, eta=2.0)
