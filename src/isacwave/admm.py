@@ -569,7 +569,9 @@ def solve(
     returns the list of SolveResults in the order given.  The instances
     of a stack must share N, L and max_iterations; each keeps its own
     epsilon, eta, rho, rho_schedule, feasibility_tolerance and
-    early_stop, and its result does not depend on the other rows.
+    early_stop, and its result does not depend on the other rows.  Rows
+    that hold the same channel and symbol objects, as a ccdf trial's
+    grid points do, share one zero-forcing target.
 
     Each instance runs the splitting for max_iterations, or with
     early_stop until it is feasible and certified optimal (see the
@@ -589,7 +591,12 @@ def solve(
         )
     if not specs:
         return []
-    x_bar_comm = np.array([lift(zero_forcing_target(s.channel, s.symbols))
+    targets = {}
+    for s in specs:
+        key = (id(s.channel), id(s.symbols))
+        if key not in targets:
+            targets[key] = lift(zero_forcing_target(s.channel, s.symbols))
+    x_bar_comm = np.array([targets[id(s.channel), id(s.symbols)]
                            for s in specs])
     results = [_result(s.reference.n_antennas, *run)
                for s, run in zip(specs, _iterate(specs, x_bar_comm))]

@@ -10,6 +10,9 @@ the rate and SER sweeps stack one grid point at a time.  All randomness
 flows through per-trial streams keyed by (base_seed, trial, purpose),
 and a stacked design does not depend on its neighbours, so a table is
 bitwise reproducible and invariant to the number of worker processes.
+A key maps exactly to the stream of numpy's ``SeedSequence(key)``; the
+streams of a chunk of trials are derived together, in one vectorised
+pass of SeedSequence's hash, not one SeedSequence per stream.
 
 SNR convention.  With "zf-normalized" (the default) each trial rescales
 the drawn channel so the zero-forcing block has exactly unit energy.
@@ -180,17 +183,137 @@ def _metadata(cfg: ExperimentConfig, **extra) -> dict:
     return meta
 
 
-def _stream_seed(base_seed: int, trial: int, purpose: int, *extra) -> int:
-    seq = np.random.SeedSequence([base_seed, trial, purpose, *extra])
-    return int(seq.generate_state(1, np.uint64)[0])
+# --- per-trial streams -------------------------------------------------------
+#
+# A stream key, a tuple of non-negative ints, names the generator
+# np.random.default_rng(np.random.SeedSequence(key)).  numpy derives it
+# with O'Neill's seed_seq hash (PCG, HMC-CS-2014-0905): the key's uint32
+# words are mixed into a pool of four words, the pool is hashed out into
+# PCG64's initial state and stream id, and PCG64 seeds itself from those
+# with two steps of its LCG.  The hash is fixed uint32 arithmetic, so it
+# runs here over a whole chunk of keys at once and gives the same bits.
+
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _noise_rng(cfg: ExperimentConfig, trial: int, *extra):
-    return np.random.default_rng(
-        np.random.SeedSequence(
-            [cfg.base_seed, trial, _PURPOSE_NOISE, *extra]
-        )
-    )
+def _entropy_words(keys: list) -> tuple:
+    """The uint32 words SeedSequence reads from each of equally long
+    keys, zero-padded to at least the pool size, and each key's count.
+
+    Every int becomes its little-endian 32-bit words, at least one, so
+    an int >= 2**32 spans several.
+    """
+    ints = np.array(keys, dtype=object).reshape(len(keys), -1)
+    bits = max(int(ints.max()).bit_length(), 1)
+    parts = [ints >> shift for shift in range(0, bits, 32)]
+    words = np.stack([(part & _MASK32).astype(np.uint32) for part in parts],
+                     axis=-1).reshape(len(keys), -1)
+    # an int has words up to its highest nonzero one; the words past it
+    # are 0 and belong to no key
+    present = np.stack([np.ones(ints.shape, dtype=bool)]
+                       + [part != 0 for part in parts[1:]],
+                       axis=-1).reshape(len(keys), -1)
+    lengths = np.count_nonzero(present, axis=1)
+    order = np.argsort(~present, axis=1, kind="stable")[:, :lengths.max()]
+    entropy = np.zeros((len(keys), max(_POOL_SIZE, order.shape[1])),
+                       dtype=np.uint32)
+    entropy[:, :order.shape[1]] = np.take_along_axis(words, order, axis=1)
+    return entropy, lengths
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < n: the running constant of
+    seed_seq's hashes, which steps once per word hashed."""
+    constants = [init]
+    for _ in range(n - 1):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, dtype=np.uint32)
+
+
+def _hash(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """seed_seq's hash of uint32 words, the k-th word (last axis) xored
+    with constants[k] and multiplied by constants[k + 1]."""
+    value = (value ^ constants[:-1]) * constants[1:]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_states(keys: list, n_words: int) -> np.ndarray:
+    """``SeedSequence(key).generate_state(n_words)`` of every key, as one
+    (len(keys), n_words) uint32 array."""
+    if not keys:
+        return np.empty((0, n_words), dtype=np.uint32)
+    entropy, lengths = _entropy_words(keys)
+    # hashmix runs once per pool word, once per ordered pair of pool
+    # words and once per (word past the pool, pool word)
+    extra = entropy.shape[1] - _POOL_SIZE
+    constants = _hash_constants(
+        _INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * extra + 1)
+    pool = _hash(entropy[:, :_POOL_SIZE], constants[:_POOL_SIZE + 1])
+    k = _POOL_SIZE
+    # each pool word is mixed into the three others in turn; it does not
+    # change while it is the source
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None],
+                                                constants[k:k + len(dst) + 1]))
+        k += len(dst)
+    # each word past the pool is mixed into every pool word; a key that
+    # has no such word keeps its pool
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        mixed = _mix(pool, _hash(entropy[:, src, None],
+                                 constants[k:k + _POOL_SIZE + 1]))
+        pool = np.where((lengths > src)[:, None], mixed, pool)
+        k += _POOL_SIZE
+    words = pool[:, np.arange(n_words) % _POOL_SIZE]
+    return _hash(words, _hash_constants(_INIT_B, _MULT_B, n_words + 1))
+
+
+def _stream_seeds(keys: list) -> list:
+    """``int(SeedSequence(key).generate_state(1, np.uint64)[0])`` of every
+    key: the one-int seed of a stream drawn through ``default_rng(seed)``."""
+    states = _seed_states(keys, 2).astype("<u4", order="C")
+    return states.view("<u8")[:, 0].tolist()
+
+
+def _streams(keys: list):
+    """Yield, for each of equally long keys in turn, a Generator in the
+    state of ``np.random.default_rng(np.random.SeedSequence(key))``.
+
+    The keys are hashed together in one pass.  One Generator is made per
+    call and set to each key's state in turn, so a key's draws must be
+    taken before the next key is yielded.
+    """
+    words = (_seed_states(keys, 8).astype("<u4", order="C").view("<u8")
+             .tolist())
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state_hi, state_lo, seq_hi, seq_lo in words:
+        # PCG64 seeding: inc = 2 * seq + 1, then two LCG steps from 0
+        # with the initial state added in between
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT
+                 + inc) & _MASK128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def draw_instance(n_antennas: int, k_users: int, n_samples: int,
@@ -215,14 +338,17 @@ def draw_instance(n_antennas: int, k_users: int, n_samples: int,
     return channel, symbols
 
 
-def _trial_instance(cfg: ExperimentConfig, trial: int):
-    """The instance of one trial, on that trial's streams."""
-    return draw_instance(
-        cfg.n_antennas, cfg.k_users, cfg.n_samples, cfg.constellation,
-        cfg.snr_convention,
-        _stream_seed(cfg.base_seed, trial, _PURPOSE_CHANNEL),
-        _stream_seed(cfg.base_seed, trial, _PURPOSE_SYMBOLS),
-    )
+def _trial_instances(cfg: ExperimentConfig, trials) -> list:
+    """The instance of each trial, on that trial's streams."""
+    seeds = _stream_seeds([(cfg.base_seed, trial, purpose) for trial in trials
+                           for purpose in (_PURPOSE_CHANNEL,
+                                           _PURPOSE_SYMBOLS)])
+    return [
+        draw_instance(cfg.n_antennas, cfg.k_users, cfg.n_samples,
+                      cfg.constellation, cfg.snr_convention, channel_seed,
+                      symbol_seed)
+        for channel_seed, symbol_seed in zip(seeds[::2], seeds[1::2])
+    ]
 
 
 def _solve_trials(cfg: ExperimentConfig, grid, trials) -> list:
@@ -232,7 +358,7 @@ def _solve_trials(cfg: ExperimentConfig, grid, trials) -> list:
     Returns (channel, symbols, SolveResult) per trial and grid entry,
     trial by trial and, within a trial, in grid order.
     """
-    instances = [_trial_instance(cfg, trial) for trial in trials]
+    instances = _trial_instances(cfg, trials)
     reference = chirp_reference(cfg.n_antennas, cfg.n_samples)
     results = solve([
         ProblemSpec(
@@ -376,8 +502,7 @@ def _sumrate_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
 def _zero_mui_rate_trials(cfg: ExperimentConfig, noise_variance: float,
                           trials) -> list:
     rates = []
-    for trial in trials:
-        channel, symbols = _trial_instance(cfg, trial)
+    for channel, symbols in _trial_instances(cfg, trials):
         target = zero_forcing_target(channel, symbols)
         target = target / np.linalg.norm(target)
         rates.append(_rate_from_block(channel, target, symbols,
@@ -454,12 +579,13 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
     transmitted = detect_qpsk(sent, cfg.constellation)
     points = np.flatnonzero(open_points)
     shape = sent.shape[1:]
-    noise = np.empty((len(trials), points.size) + shape, dtype=complex)
-    for i, trial in enumerate(trials):
-        for j, p in enumerate(points):
-            rng = _noise_rng(cfg, trial, int(p), series)
-            noise[i, j] = (rng.standard_normal(shape)
-                           + 1j * rng.standard_normal(shape))
+    # the real and imaginary parts, drawn in that order from one stream
+    parts = np.empty((len(trials), points.size, 2) + shape)
+    keys = [(cfg.base_seed, trial, _PURPOSE_NOISE, int(p), series)
+            for trial in trials for p in points]
+    for draw, rng in zip(parts.reshape((-1, 2) + shape), _streams(keys)):
+        rng.standard_normal(out=draw)
+    noise = parts[:, :, 0] + 1j * parts[:, :, 1]
     for j, p in enumerate(points):
         noise[:, j] *= math.sqrt(sigma2s[p] / 2.0)
     detected = detect_qpsk(received_clean[:, None] + noise, cfg.constellation)
@@ -486,14 +612,12 @@ def _ser_zero_mui_trials(cfg: ExperimentConfig, sigma2s: tuple,
     # the unit-energy zero-forcing block delivers under "zf-normalized";
     # no channel is drawn, so the series is the same under either
     # convention and only the symbol and noise streams are consumed
+    seeds = _stream_seeds([(cfg.base_seed, trial, _PURPOSE_SYMBOLS)
+                           for trial in trials])
     sent = np.stack([
-        draw_symbols(
-            cfg.k_users,
-            cfg.n_samples,
-            cfg.constellation,
-            rng_seed=_stream_seed(cfg.base_seed, trial, _PURPOSE_SYMBOLS),
-        ).symbols
-        for trial in trials
+        draw_symbols(cfg.k_users, cfg.n_samples, cfg.constellation,
+                     rng_seed=rng).symbols
+        for rng in _streams([(seed,) for seed in seeds])
     ])
     return _ser_counts(cfg, sigma2s, open_points, trials, sent, sent,
                        _SERIES_ZERO_MUI)

@@ -94,11 +94,14 @@ def snr_noise_variance(snr_db: float) -> float:
     return noise_variance
 
 
-def draw_channel(k_users: int, n_antennas: int, rng_seed: int) -> ChannelRealization:
+def draw_channel(
+    k_users: int, n_antennas: int, rng_seed: int | np.random.Generator
+) -> ChannelRealization:
     """Draw H with i.i.d. unit-variance complex normal entries.
 
     Each entry is (a + jb)/sqrt(2) with a, b standard normal, so
-    E|h|^2 = 1.  The draw is a pure function of the seed.
+    E|h|^2 = 1.  ``rng_seed`` is an int seed, of which the draw is a pure
+    function, or a Generator, which the draw advances.
     """
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
@@ -134,9 +137,16 @@ class SymbolBlock:
 
 
 def draw_symbols(
-    k_users: int, n_samples: int, constellation: str, rng_seed: int
+    k_users: int,
+    n_samples: int,
+    constellation: str,
+    rng_seed: int | np.random.Generator,
 ) -> SymbolBlock:
-    """Draw a K x L block of i.i.d. uniform constellation symbols."""
+    """Draw a K x L block of i.i.d. uniform constellation symbols.
+
+    ``rng_seed`` is an int seed, of which the draw is a pure function, or
+    a Generator, which the draw advances.
+    """
     if k_users < 1 or n_samples < 1:
         raise ValueError("k_users and n_samples must be >= 1")
     points = constellation_points(constellation)

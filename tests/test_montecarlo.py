@@ -387,6 +387,26 @@ class TestRunSer:
         assert stats["symbols"] == [384, 880]
         assert stats["trials"] == [24, 55]
 
+    @pytest.mark.parametrize("base_seed, want", [
+        (2 ** 32 + 5, {
+            "zero_mui": {"errors": [100, 100], "symbols": [416, 896],
+                         "trials": [26, 56]},
+            "designed": {"errors": [102, 101], "symbols": [304, 560],
+                         "trials": [19, 35]}}),
+        (2 ** 64 - 1, {
+            "zero_mui": {"errors": [100, 100], "symbols": [352, 1008],
+                         "trials": [22, 63]},
+            "designed": {"errors": [101, 100], "symbols": [304, 688],
+                         "trials": [19, 43]}}),
+    ], ids=["two-word", "largest-u64"])
+    def test_multi_word_base_seeds_pin_the_stream_layout(self, base_seed,
+                                                         want):
+        # a base seed of two uint32 words makes every noise key six words
+        # long, past SeedSequence's four-word pool
+        table = run_ser(_cfg(snr_grid_db=(0.0, 4.0), n_trials=1,
+                             base_seed=base_seed, m_iter=5))
+        assert table.metadata["series_stats"] == want
+
     def test_deterministic_and_worker_invariant(self):
         cfg = _cfg(snr_grid_db=(1.0, 5.0), n_trials=1, m_iter=60)
         a = run_ser(cfg, threads=1)
@@ -457,13 +477,14 @@ class TestTrialStacks:
     def _noise_streams(self, monkeypatch):
         # the (trial, point, series) key of every noise stream built
         streams = []
-        real = montecarlo._noise_rng
+        real = montecarlo._streams
 
-        def spy(cfg, trial, *extra):
-            streams.append((trial, *extra))
-            return real(cfg, trial, *extra)
+        def spy(keys):
+            streams.extend((key[1], *key[3:]) for key in keys
+                           if key[2:3] == (montecarlo._PURPOSE_NOISE,))
+            return real(keys)
 
-        monkeypatch.setattr(montecarlo, "_noise_rng", spy)
+        monkeypatch.setattr(montecarlo, "_streams", spy)
         return streams
 
     def test_a_ccdf_grid_is_one_stack_with_one_reference(self, monkeypatch):
@@ -477,14 +498,14 @@ class TestTrialStacks:
     def test_a_ccdf_sweep_draws_each_trial_once(self, monkeypatch):
         channels = self._spy(monkeypatch, "draw_channel")
         rescales = self._spy(monkeypatch, "zero_forcing_target")
-        # solve still builds the target of each row it designs
+        # solve builds one target per trial, shared by its grid rows
         targets = self._spy(monkeypatch, "zero_forcing_target", admm)
         n_trials = 5
         run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
                       n_trials=n_trials, m_iter=20))
         assert len(channels) == n_trials
         assert len(rescales) == n_trials
-        assert len(targets) == 4 * n_trials
+        assert len(targets) == n_trials
 
     def test_a_stack_holds_at_most_a_chunk_of_trials(self, monkeypatch):
         # a trial's rows stay in one stack, so a chunk holds whole trials
