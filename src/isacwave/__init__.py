@@ -11,9 +11,7 @@ Monte-Carlo experiment harness, and a command line front end.
 __version__ = "0.1.0"
 
 from .admm import (
-    AdmmState,
     ConstraintViolations,
-    DegenerateProjectionError,
     ProblemSpec,
     ResidualHistory,
     SingularChannelError,
@@ -47,11 +45,9 @@ from .signal_model import (
 )
 
 __all__ = [
-    "AdmmState",
     "ChannelRealization",
     "ConstraintViolations",
     "CurveTable",
-    "DegenerateProjectionError",
     "ExperimentConfig",
     "KpiReport",
     "ProblemSpec",

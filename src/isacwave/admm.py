@@ -47,10 +47,11 @@ ball and the discs together: the x-update is the alternating sum of
 the first buffer plus rho times the sum of the second, the projection
 arguments are [u, v, w]/rho + [x, x - x0, x], the consensus gaps are
 [x, x - x0, x] - [alpha, beta, gamma], and one call ascends the three
-duals.  The step functions (:func:`x_update`, :func:`alpha_update`,
-:func:`beta_update`, :func:`gamma_update`, :func:`dual_updates`) are
-the loop's reference: it keeps each of their operand orders, and so
-their results, to the last bit.
+duals.  Its reference is the same iteration written as separate step
+functions (x_update, alpha_update, beta_update, gamma_update and
+dual_updates), kept with the tests in tests/reference_admm.py: the
+loop keeps each of their operand orders, and so their results, to the
+last bit.
 
 Certified stop.  Minimising the Lagrangian of the splitting over x_bar
 and the three constraint sets gives, for any duals (u, v, w), the value
@@ -117,10 +118,6 @@ _TINY = np.finfo(float).tiny
 
 class SingularChannelError(ValueError):
     """Channel rows are linearly dependent; no interference-free target."""
-
-
-class DegenerateProjectionError(ValueError):
-    """Projection argument has no defined direction (zero vector)."""
 
 
 @dataclass(frozen=True)
@@ -211,40 +208,6 @@ def papr_cap(eta: float, n_total: int) -> float:
     return min(max(float(eta), 1.0), float(n_total))
 
 
-@dataclass
-class AdmmState:
-    """Iterate of the splitting: primal block, auxiliaries, duals.
-
-    gamma and w hold one (Re, Im) pair per sample, shape (N*L, 2); the
-    pair for sample n corresponds to slots (n, N*L + n) of x_bar.  A
-    stack of independent instances carries leading batch axes on every
-    array: x_bar of shape (T, 2*N*L), gamma of shape (T, N*L, 2).
-    """
-
-    x_bar: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def initial(cls, n_total: int, batch: tuple = ()) -> "AdmmState":
-        """All-zero start, with leading batch axes of shape ``batch``."""
-        vector = tuple(batch) + (2 * n_total,)
-        pairs = tuple(batch) + (n_total, 2)
-        return cls(
-            x_bar=np.zeros(vector),
-            alpha=np.zeros(vector),
-            beta=np.zeros(vector),
-            gamma=np.zeros(pairs),
-            u=np.zeros(vector),
-            v=np.zeros(vector),
-            w=np.zeros(pairs),
-        )
-
-
 def _per_row(value, trailing: int):
     """A scalar or per-row value, shaped to broadcast over ``trailing``
     more axes than the batch axes it is given for.
@@ -308,110 +271,6 @@ def zero_forcing_target(
     return vec(target)
 
 
-def x_update(
-    state: AdmmState, rho, x_bar_comm: np.ndarray, x_bar_0: np.ndarray
-) -> np.ndarray:
-    """Closed-form minimizer of the augmented objective in x_bar.
-
-    The objective is quadratic with Hessian (2 + 3*rho) * I because the
-    per-sample selectors partition the lifted coordinates, so the
-    minimizer is the weighted average of the communication pull and the
-    three constraint pulls, shifted by the duals.  Acts on the trailing
-    axis; rho is a scalar or one value per row.
-    """
-    rho = _per_row(rho, 1)
-    pull = (
-        2.0 * x_bar_comm
-        - state.u
-        - state.v
-        - scatter_pairs(state.w)
-        + rho * (state.alpha + x_bar_0 + state.beta + scatter_pairs(state.gamma))
-    )
-    return pull / (2.0 + 3.0 * rho)
-
-
-def alpha_update(
-    x_bar_new: np.ndarray,
-    u: np.ndarray,
-    rho,
-    fallback: np.ndarray | None = None,
-) -> np.ndarray:
-    """Project x_bar + u/rho onto the unit-energy sphere, row by row.
-
-    A zero argument has no nearest point on the sphere; the previous
-    auxiliary can be supplied as a fallback for such rows, otherwise
-    this raises.
-    """
-    t = x_bar_new + u / _per_row(rho, 1)
-    norm = _row_norm(t)
-    degenerate = norm < 1e-12
-    if not np.count_nonzero(degenerate):
-        return t / norm[..., None]
-    if fallback is None:
-        raise DegenerateProjectionError(
-            "cannot project the zero vector onto the unit sphere"
-        )
-    projected = t / np.where(degenerate, 1.0, norm)[..., None]
-    return np.where(degenerate[..., None], fallback, projected)
-
-
-def beta_update(
-    x_bar_new: np.ndarray,
-    x_bar_0: np.ndarray,
-    v: np.ndarray,
-    rho,
-    epsilon,
-) -> np.ndarray:
-    """Project (x_bar - x0_bar) + v/rho onto the epsilon-ball, row by row."""
-    t = x_bar_new - x_bar_0 + v / _per_row(rho, 1)
-    epsilon = _per_row(epsilon, 0)
-    # epsilon / max(norm, epsilon) is exactly 1 inside the ball; the
-    # floor keeps a zero row at epsilon = 0 from dividing 0 by 0
-    divisor = np.maximum(np.maximum(_row_norm(t), epsilon), _TINY)
-    return t * (epsilon / divisor)[..., None]
-
-
-def gamma_update(
-    x_bar_new: np.ndarray,
-    w: np.ndarray,
-    rho,
-    eta,
-    n_total: int,
-) -> np.ndarray:
-    """Project each per-sample pair onto its energy disc.
-
-    Pair n of coupling_pairs(x_bar) + w/rho is kept when its squared
-    norm is at most eta/(N*L) and radially shrunk onto the boundary
-    otherwise.  Boundary points are members, not violations.  eta is a
-    scalar or one value per row.
-    """
-    # the pairs' Re and Im parts, computed in the slots of x_bar
-    t = x_bar_new + scatter_pairs(w) / _per_row(rho, 1)
-    re, im = t[..., :n_total], t[..., n_total:]
-    cap = _per_row(eta, 1) / n_total
-    # exactly 1 for pairs inside the disc (cap / cap), a zero pair included
-    scale = np.sqrt(cap / np.maximum(re * re + im * im, cap))
-    pairs = np.empty(t.shape[:-1] + (n_total, 2))
-    np.multiply(re, scale, out=pairs[..., 0])
-    np.multiply(im, scale, out=pairs[..., 1])
-    return pairs
-
-
-def dual_updates(
-    state: AdmmState,
-    energy_gap: np.ndarray,
-    similarity_gap: np.ndarray,
-    papr_gap: np.ndarray,
-    rho,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascend the three duals along the new iterate's consensus gaps."""
-    rho_row = _per_row(rho, 1)
-    u = state.u + rho_row * energy_gap
-    v = state.v + rho_row * similarity_gap
-    w = state.w + _per_row(rho, 2) * papr_gap
-    return u, v, w
-
-
 def lower_bound(
     u: np.ndarray,
     v: np.ndarray,
@@ -439,42 +298,6 @@ def lower_bound(
             - _per_row(epsilon, 0) * _row_norm(v)
             - np.sqrt(_per_row(eta, 0) / n_total)
             * np.add.reduce(_row_norm(w), axis=-1))
-
-
-def augmented_lagrangian(
-    x_bar: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-    rho: float,
-    x_bar_comm: np.ndarray,
-    x_bar_0: np.ndarray,
-) -> float:
-    """Augmented objective whose x_bar-minimizer is :func:`x_update`.
-
-    Quadratic communication cost plus linear dual terms and rho/2 times
-    the squared consensus residuals of the three couplings.
-    """
-    r_energy = x_bar - alpha
-    r_similarity = x_bar - x_bar_0 - beta
-    r_papr = coupling_pairs(x_bar) - gamma
-    value = (
-        np.linalg.norm(x_bar - x_bar_comm) ** 2
-        + u @ r_energy
-        + v @ r_similarity
-        + np.sum(w * r_papr)
-        + 0.5
-        * rho
-        * (
-            np.linalg.norm(r_energy) ** 2
-            + np.linalg.norm(r_similarity) ** 2
-            + np.sum(r_papr * r_papr)
-        )
-    )
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -678,7 +501,7 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
 
     for m in range(n_iterations):
         # each phase is one call over the sphere, the ball and the discs,
-        # with every operand order of the step functions
+        # with every operand order of the reference step functions
         np.divide(np.subtract.reduce(duals, 0)
                   + rho_row * np.add.reduce(pulls, 0),
                   denominator, out=x_bar)

@@ -70,9 +70,10 @@ _MAX_SYMBOLS = 1_000_000
 _GAMMA_GRID_DB = np.linspace(0.0, 10.0, 201)
 
 # most rows (trials x grid points) designed as one solver stack.  A stack
-# amortises numpy's per-call overhead over its rows; on 4 x 16 blocks the
-# time per row is lowest near 256 rows and grows beyond, as the iterate
-# leaves the cache.  It also bounds the memory a sweep holds at once.
+# amortises numpy's per-call overhead over its rows, and the cap bounds
+# the memory a sweep holds at once.  256 was chosen before the fused
+# iteration; on 4 x 16 blocks 64 rows now measure 8-12% cheaper per row
+# (ROADMAP item 3), so the value awaits re-tuning there.
 _CHUNK_ROWS = 256
 
 

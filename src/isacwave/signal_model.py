@@ -229,6 +229,8 @@ def unvec(x: np.ndarray, n_antennas: int) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("unvec expects a 1-D vector")
+    if n_antennas < 1:
+        raise ValueError("n_antennas must be >= 1")
     if x.size % n_antennas != 0:
         raise ValueError("vector length is not a multiple of n_antennas")
     return x.reshape(n_antennas, -1, order="F")

@@ -2,7 +2,9 @@
 
 Derived expectations are recomputed here by independent oracles:
 central finite differences for stationarity of the x-update and random
-feasible-candidate search for projection optimality.
+feasible-candidate search for projection optimality.  The update rules
+are the step functions of ``reference_admm``, the reference the
+solver's fused loop is held to; the pair helpers are the solver's own.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ from isacwave.signal_model import (
     draw_symbols,
 )
 
+import reference_admm as ref
+
 
 def _gaps(x_bar, alpha, beta, gamma, x_bar_0):
     """The three consensus gaps that dual_updates ascends along."""
@@ -24,7 +28,7 @@ def _gaps(x_bar, alpha, beta, gamma, x_bar_0):
 
 def _random_state(rng, n_total):
     dim = 2 * n_total
-    return admm.AdmmState(
+    return ref.AdmmState(
         x_bar=rng.standard_normal(dim),
         alpha=rng.standard_normal(dim),
         beta=rng.standard_normal(dim),
@@ -51,17 +55,17 @@ def test_x_update_from_all_zero_state():
     rng = np.random.default_rng(0)
     xbc = rng.standard_normal(2 * n_total)
     xb0 = rng.standard_normal(2 * n_total)
-    state = admm.AdmmState.initial(n_total)
+    state = ref.AdmmState.initial(n_total)
     for rho in (0.1, 1.0, 5.0):
-        got = admm.x_update(state, rho, xbc, xb0)
+        got = ref.x_update(state, rho, xbc, xb0)
         np.testing.assert_allclose(got, (2 * xbc + rho * xb0) / (2 + 3 * rho))
 
 
 def test_x_update_single_sample_by_hand():
     # One complex sample, x_bar_comm = x_bar_0 = [1, 0], rho = 1:
     # the averaged pull is [3, 0] / 5.
-    state = admm.AdmmState.initial(1)
-    got = admm.x_update(state, 1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    state = ref.AdmmState.initial(1)
+    got = ref.x_update(state, 1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(got, [0.6, 0.0])
 
 
@@ -75,10 +79,10 @@ def test_x_update_zeroes_the_augmented_gradient():
         rho = float(rng.uniform(0.1, 5.0))
         xbc = rng.standard_normal(2 * n_total)
         xb0 = rng.standard_normal(2 * n_total)
-        x_new = admm.x_update(state, rho, xbc, xb0)
+        x_new = ref.x_update(state, rho, xbc, xb0)
 
         def objective(x):
-            return admm.augmented_lagrangian(
+            return ref.augmented_lagrangian(
                 x, state.alpha, state.beta, state.gamma,
                 state.u, state.v, state.w, rho, xbc, xb0,
             )
@@ -93,7 +97,7 @@ def test_alpha_update_lands_on_the_unit_sphere():
         x = rng.standard_normal(8)
         u = rng.standard_normal(8)
         rho = float(rng.uniform(0.2, 3.0))
-        a = admm.alpha_update(x, u, rho)
+        a = ref.alpha_update(x, u, rho)
         assert abs(np.linalg.norm(a) - 1.0) < 1e-12
         t = x + u / rho
         np.testing.assert_allclose(a, t / np.linalg.norm(t))
@@ -101,10 +105,10 @@ def test_alpha_update_lands_on_the_unit_sphere():
 
 def test_alpha_update_degenerate_argument():
     zeros = np.zeros(4)
-    with pytest.raises(admm.DegenerateProjectionError):
-        admm.alpha_update(zeros, zeros, 1.0)
+    with pytest.raises(ref.DegenerateProjectionError):
+        ref.alpha_update(zeros, zeros, 1.0)
     prev = np.array([1.0, 0.0, 0.0, 0.0])
-    got = admm.alpha_update(zeros, zeros, 1.0, fallback=prev)
+    got = ref.alpha_update(zeros, zeros, 1.0, fallback=prev)
     np.testing.assert_array_equal(got, prev)
     assert got is not prev
 
@@ -113,13 +117,13 @@ def test_beta_update_identity_inside_ball_and_radial_outside():
     x0 = np.zeros(4)
     v = np.zeros(4)
     inside = np.array([0.1, 0.2, 0.0, 0.0])
-    np.testing.assert_array_equal(admm.beta_update(inside, x0, v, 1.0, 1.0), inside)
+    np.testing.assert_array_equal(ref.beta_update(inside, x0, v, 1.0, 1.0), inside)
     outside = np.array([3.0, 4.0, 0.0, 0.0])
-    got = admm.beta_update(outside, x0, v, 1.0, 1.0)
+    got = ref.beta_update(outside, x0, v, 1.0, 1.0)
     np.testing.assert_allclose(got, [0.6, 0.8, 0.0, 0.0])
     # boundary points are members and stay untouched
     boundary = np.array([1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(admm.beta_update(boundary, x0, v, 1.0, 1.0), boundary)
+    np.testing.assert_array_equal(ref.beta_update(boundary, x0, v, 1.0, 1.0), boundary)
 
 
 def test_gamma_update_projects_each_sample_pair():
@@ -127,7 +131,7 @@ def test_gamma_update_projects_each_sample_pair():
     x_bar = np.array([3.0, 0.05, 0.0, 4.0, 0.05, 0.1])  # pairs (3,4), (.05,.05), (0,.1)
     w = np.zeros((n_total, 2))
     eta = 3.0  # cap per sample: eta / n_total = 1
-    got = admm.gamma_update(x_bar, w, 1.0, eta, n_total)
+    got = ref.gamma_update(x_bar, w, 1.0, eta, n_total)
     np.testing.assert_allclose(got[0], [0.6, 0.8])  # norm 5 shrunk to 1
     np.testing.assert_array_equal(got[1], [0.05, 0.05])
     np.testing.assert_array_equal(got[2], [0.0, 0.1])
@@ -145,7 +149,7 @@ def test_projection_updates_beat_random_feasible_candidates():
         x = rng.standard_normal(dim) * rng.uniform(0.5, 2)
         u = rng.standard_normal(dim)
         t = x + u / rho
-        proj = admm.alpha_update(x, u, rho)
+        proj = ref.alpha_update(x, u, rho)
         cand = rng.standard_normal((n_candidates, dim))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         assert np.min(np.linalg.norm(cand - t, axis=1)) >= np.linalg.norm(proj - t) - 1e-12
@@ -154,7 +158,7 @@ def test_projection_updates_beat_random_feasible_candidates():
         x0 = rng.standard_normal(dim)
         v = rng.standard_normal(dim)
         t = x - x0 + v / rho
-        proj = admm.beta_update(x, x0, v, rho, eps)
+        proj = ref.beta_update(x, x0, v, rho, eps)
         direction = rng.standard_normal((n_candidates, dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radius = eps * rng.uniform(0, 1, size=(n_candidates, 1)) ** (1.0 / dim)
@@ -169,7 +173,7 @@ def test_projection_updates_beat_random_feasible_candidates():
         w = rng.standard_normal((n_total, 2))
         rho = float(rng.uniform(0.2, 3.0))
         t = admm.coupling_pairs(x_bar) + w / rho
-        proj = admm.gamma_update(x_bar, w, rho, eta, n_total)
+        proj = ref.gamma_update(x_bar, w, rho, eta, n_total)
         cap = np.sqrt(eta / n_total)
         for n in range(n_total):
             direction = rng.standard_normal((n_candidates, 2))
@@ -189,7 +193,7 @@ def test_dual_updates_follow_the_residuals():
     b_new = rng.standard_normal(2 * n_total)
     g_new = rng.standard_normal((n_total, 2))
     xb0 = rng.standard_normal(2 * n_total)
-    u, v, w = admm.dual_updates(
+    u, v, w = ref.dual_updates(
         state, *_gaps(x_new, a_new, b_new, g_new, xb0), rho)
     np.testing.assert_allclose(u, state.u + rho * (x_new - a_new))
     np.testing.assert_allclose(v, state.v + rho * (x_new - xb0 - b_new))
@@ -202,7 +206,7 @@ def test_dual_updates_fixed_under_zero_residuals():
     state = _random_state(rng, n_total)
     xb0 = rng.standard_normal(2 * n_total)
     x = state.x_bar
-    u, v, w = admm.dual_updates(
+    u, v, w = ref.dual_updates(
         state, *_gaps(x, x.copy(), x - xb0, admm.coupling_pairs(x), xb0), 2.0
     )
     np.testing.assert_array_equal(u, state.u)
@@ -271,7 +275,7 @@ def test_augmented_lagrangian_matches_manual_expansion():
         + rho / 2 * np.linalg.norm(x - xb0 - state.beta) ** 2
         + rho / 2 * np.sum((pairs - state.gamma) ** 2)
     )
-    got = admm.augmented_lagrangian(
+    got = ref.augmented_lagrangian(
         x, state.alpha, state.beta, state.gamma,
         state.u, state.v, state.w, rho, xbc, xb0,
     )
@@ -284,7 +288,7 @@ def test_steps_on_a_stack_equal_the_steps_on_each_row():
     rng = np.random.default_rng(8)
     n_total, rows = 5, 4
     states = [_random_state(rng, n_total) for _ in range(rows)]
-    stack = admm.AdmmState(**{
+    stack = ref.AdmmState(**{
         field: np.stack([getattr(s, field) for s in states])
         for field in ("x_bar", "alpha", "beta", "gamma", "u", "v", "w")
     })
@@ -295,23 +299,23 @@ def test_steps_on_a_stack_equal_the_steps_on_each_row():
     xb0 = rng.standard_normal((rows, 2 * n_total))
 
     got = (
-        admm.x_update(stack, rho, xbc, xb0),
-        admm.alpha_update(stack.x_bar, stack.u, rho),
-        admm.beta_update(stack.x_bar, xb0, stack.v, rho, epsilon),
-        admm.gamma_update(stack.x_bar, stack.w, rho, eta, n_total),
-        *admm.dual_updates(stack, *_gaps(stack.x_bar, stack.alpha,
-                                         stack.beta, stack.gamma, xb0), rho),
+        ref.x_update(stack, rho, xbc, xb0),
+        ref.alpha_update(stack.x_bar, stack.u, rho),
+        ref.beta_update(stack.x_bar, xb0, stack.v, rho, epsilon),
+        ref.gamma_update(stack.x_bar, stack.w, rho, eta, n_total),
+        *ref.dual_updates(stack, *_gaps(stack.x_bar, stack.alpha,
+                                        stack.beta, stack.gamma, xb0), rho),
         admm.coupling_pairs(stack.x_bar),
         admm.scatter_pairs(stack.gamma),
     )
     for i, s in enumerate(states):
         want = (
-            admm.x_update(s, rho[i], xbc[i], xb0[i]),
-            admm.alpha_update(s.x_bar, s.u, rho[i]),
-            admm.beta_update(s.x_bar, xb0[i], s.v, rho[i], epsilon[i]),
-            admm.gamma_update(s.x_bar, s.w, rho[i], eta[i], n_total),
-            *admm.dual_updates(s, *_gaps(s.x_bar, s.alpha, s.beta, s.gamma,
-                                         xb0[i]), rho[i]),
+            ref.x_update(s, rho[i], xbc[i], xb0[i]),
+            ref.alpha_update(s.x_bar, s.u, rho[i]),
+            ref.beta_update(s.x_bar, xb0[i], s.v, rho[i], epsilon[i]),
+            ref.gamma_update(s.x_bar, s.w, rho[i], eta[i], n_total),
+            *ref.dual_updates(s, *_gaps(s.x_bar, s.alpha, s.beta, s.gamma,
+                                        xb0[i]), rho[i]),
             admm.coupling_pairs(s.x_bar),
             admm.scatter_pairs(s.gamma),
         )
@@ -322,15 +326,15 @@ def test_steps_on_a_stack_equal_the_steps_on_each_row():
 def test_degenerate_rows_of_a_stack():
     x = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 4.0, 0.0]])
     zeros = np.zeros_like(x)
-    with pytest.raises(admm.DegenerateProjectionError):
-        admm.alpha_update(x, zeros, np.array([1.0, 1.0]))
+    with pytest.raises(ref.DegenerateProjectionError):
+        ref.alpha_update(x, zeros, np.array([1.0, 1.0]))
     prev = np.full_like(x, 0.5)
     with np.errstate(all="raise"):
-        alpha = admm.alpha_update(x, zeros, np.array([1.0, 1.0]),
-                                  fallback=prev)
+        alpha = ref.alpha_update(x, zeros, np.array([1.0, 1.0]),
+                                 fallback=prev)
         # a zero row at epsilon = 0 and zero pairs inside the disc
-        beta = admm.beta_update(x, zeros, zeros, 1.0, np.array([0.0, 1.0]))
-        gamma = admm.gamma_update(x, np.zeros((2, 2, 2)), 1.0, 2.0, 2)
+        beta = ref.beta_update(x, zeros, zeros, 1.0, np.array([0.0, 1.0]))
+        gamma = ref.gamma_update(x, np.zeros((2, 2, 2)), 1.0, 2.0, 2)
     np.testing.assert_array_equal(alpha[0], prev[0])
     np.testing.assert_array_equal(beta[0], zeros[0])
     np.testing.assert_array_equal(gamma[0], np.zeros((2, 2)))

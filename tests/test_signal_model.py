@@ -147,6 +147,8 @@ def test_lift_unlift_reject_bad_shapes():
         sm.unlift(np.ones(3))
     with pytest.raises(ValueError):
         sm.unvec(np.ones(5), 2)
+    with pytest.raises(ValueError):
+        sm.unvec(np.ones(4), 0)
 
 
 def test_waveform_properties():

@@ -4,7 +4,8 @@ A stack is solved row by row in one loop, so every row must come out
 exactly as it does alone, whatever rows surround it.  The reference
 test holds the row-batched loop against a plain one-instance loop kept
 here as the oracle, and the step-function tests hold the fused
-iteration bitwise to a loop composed of the public step functions.
+iteration bitwise to a loop composed of the reference step functions
+(``reference_admm``).
 """
 
 from dataclasses import replace
@@ -26,6 +27,8 @@ from isacwave.signal_model import (
     unlift,
     unvec,
 )
+
+import reference_admm as ref
 
 
 def _spec(n, k, n_samples, seed, **kw):
@@ -150,7 +153,7 @@ def test_stacked_solve_matches_the_one_instance_loop():
 
 
 def _step_function_loop(specs):
-    """The fixed-rho stack loop composed of the public step functions.
+    """The fixed-rho stack loop composed of the reference step functions.
 
     Each iteration is x_update, the three projections (the sphere with
     its previous value as fallback), the consensus gaps with the PAPR
@@ -165,15 +168,15 @@ def _step_function_loop(specs):
     rho = np.array([s.rho for s in specs])
     epsilon = np.array([s.epsilon for s in specs])
     eta = np.array([s.eta for s in specs])
-    state = admm.AdmmState.initial(n_total, batch=(n_rows,))
+    state = ref.AdmmState.initial(n_total, batch=(n_rows,))
     history = []
     for _ in range(specs[0].max_iterations):
-        state.x_bar = admm.x_update(state, rho, x_comm, x_0)
-        state.alpha = admm.alpha_update(state.x_bar, state.u, rho,
-                                        fallback=state.alpha)
-        state.beta = admm.beta_update(state.x_bar, x_0, state.v, rho, epsilon)
-        state.gamma = admm.gamma_update(state.x_bar, state.w, rho, eta,
-                                        n_total)
+        state.x_bar = ref.x_update(state, rho, x_comm, x_0)
+        state.alpha = ref.alpha_update(state.x_bar, state.u, rho,
+                                       fallback=state.alpha)
+        state.beta = ref.beta_update(state.x_bar, x_0, state.v, rho, epsilon)
+        state.gamma = ref.gamma_update(state.x_bar, state.w, rho, eta,
+                                       n_total)
         energy_gap = state.x_bar - state.alpha
         similarity_gap = state.x_bar - x_0 - state.beta
         papr_gap = admm.coupling_pairs(state.x_bar) - state.gamma
@@ -183,7 +186,7 @@ def _step_function_loop(specs):
             np.sqrt(np.add.reduce((papr_gap * papr_gap).reshape(n_rows, -1),
                                   axis=-1)),
         ))
-        state.u, state.v, state.w = admm.dual_updates(
+        state.u, state.v, state.w = ref.dual_updates(
             state, energy_gap, similarity_gap, papr_gap, rho)
     return state.x_bar, np.array(history)
 
