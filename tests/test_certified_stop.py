@@ -4,7 +4,8 @@ The bound is held against an oracle: with the PAPR cap inactive
 (eta = N*L) and the similarity ball active, the best block has a closed
 form.  Instances are built backwards from a chosen optimum and its
 multipliers, so the oracle and the duals that attain the bound are both
-known.
+known.  The bound is max(g, g_lin); g_lin does not depend on u, so far
+out in u, where g falls without limit, the bound is g_lin alone.
 """
 
 from dataclasses import replace
@@ -13,13 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isacwave import montecarlo
-from isacwave.admm import ProblemSpec, lower_bound, solve
-from isacwave.montecarlo import ExperimentConfig
+from isacwave import kpi, montecarlo
+from isacwave.admm import ProblemSpec, lower_bound, solve, zero_forcing_target
+from isacwave.montecarlo import ExperimentConfig, draw_instance
 from isacwave.signal_model import (
     chirp_reference,
     draw_channel,
     draw_symbols,
+    lift,
 )
 
 
@@ -52,6 +54,12 @@ def _instance(rng, n_total, epsilon, a, b):
     return x_star + (u + v) / 2.0, x0, x_star, u, v
 
 
+def _linearised_bound(v, w, c, x0, epsilon, eta):
+    """g_lin alone: the bound with u so far out that g is far below."""
+    far_u = np.full_like(c, 1e6)
+    return lower_bound(far_u, v, w, c, x0, epsilon, eta)
+
+
 _SCALES = st.sampled_from((0.0, 1e-3, 0.1, 1.0, 10.0))
 
 
@@ -79,10 +87,16 @@ def test_bound_never_exceeds_the_optimum_and_meets_it_at_the_kkt_duals(
     g = lower_bound(u + scales[0] * du, v + scales[1] * dv, w, c, x0,
                     epsilon, eta)
     assert g <= optimum + slack
+    g_lin = _linearised_bound(v + scales[1] * dv, w, c, x0, epsilon, eta)
+    assert g_lin <= optimum + slack
 
-    # the instance's own multipliers attain it (zero duality gap)
-    attained = lower_bound(u, v, np.zeros((n_total, 2)), c, x0, epsilon, eta)
+    # the instance's own multipliers attain it (zero duality gap), and
+    # so does v alone in g_lin, whatever u
+    no_w = np.zeros((n_total, 2))
+    attained = lower_bound(u, v, no_w, c, x0, epsilon, eta)
     assert attained >= optimum - slack
+    attained_lin = _linearised_bound(v, no_w, c, x0, epsilon, eta)
+    assert attained_lin >= optimum - slack
 
 
 N, K, L = 4, 2, 16
@@ -133,3 +147,72 @@ def test_a_sweep_spec_runs_m_iter_iterations():
                     rho_schedule="fixed")
         for channel, symbols, _ in solved])
     assert min(r.iterations_run for r in certified) < 300
+
+
+def _design_spec(convention, channel_seed, symbol_seed, **kw):
+    """A spec drawn as the design command draws it; N, K and L are the
+    shipped design's."""
+    channel, symbols = draw_instance(N, K, L, "qpsk", convention,
+                                     channel_seed, symbol_seed)
+    return ProblemSpec(channel=channel, symbols=symbols,
+                       reference=chirp_reference(N, L), **kw)
+
+
+@pytest.mark.parametrize("convention", ["raw", "zf-normalized"])
+def test_no_exactly_feasible_design_lies_below_its_bound(convention):
+    rng = np.random.default_rng(5)
+    specs = [_design_spec(convention, 3000 + i, 4000 + i,
+                          epsilon=float(rng.uniform(0.3, 2.0)),
+                          eta=float(rng.uniform(1.2, 6.0)),
+                          max_iterations=400, early_stop=False)
+             for i in range(24)]
+    exact = [r for r in solve(specs)
+             if r.constraint_violations.max() <= 1e-12]
+    assert len(exact) >= 5
+    for result in exact:
+        # weak duality, up to the rounding of a block 1e-12 off the sets
+        assert result.objective >= (result.lower_bound
+                                    - 1e-9 * (1.0 + result.objective))
+
+
+def test_a_zf_normalized_design_stops_certified():
+    # the shipped design's instance under the zf-normalized convention
+    result = solve(_design_spec("zf-normalized", 7, 8, epsilon=1.0, eta=2.0))
+    assert result.iterations_run < 2000
+    assert result.constraint_violations.max() <= 1e-3
+    assert result.certified_gap <= 1e-8
+
+
+def test_a_design_whose_target_is_feasible_stops_within_150_iterations():
+    # the objective goes to 0 there, so only the gap's floor lets it stop
+    specs = [_design_spec("zf-normalized", 1000 + i, 2000 + i, epsilon=2.0,
+                          eta=3.0) for i in range(20)]
+    feasible_target = [
+        spec for spec in specs
+        if kpi.papr(zero_forcing_target(spec.channel, spec.symbols)) <= 3.0]
+    assert len(feasible_target) >= 5
+    for result in solve(feasible_target):
+        assert result.objective < 1e-6
+        assert result.iterations_run <= 150
+        assert result.certified_gap <= 1e-8
+
+
+def test_a_raw_design_with_a_loose_g_stops_before_its_budget():
+    # at these seeds g alone leaves a gap of 0.0176 after 2000 iterations
+    result = solve(_design_spec("raw", 1054964403, 2849148001, epsilon=1.0,
+                                eta=2.0))
+    assert result.iterations_run < 2000
+    assert result.constraint_violations.max() <= 1e-3
+    assert result.certified_gap <= 1e-8
+
+
+def test_a_pinned_design_reports_the_bound_of_zero_duals():
+    spec = _design_spec("raw", 7, 8, epsilon=0.0, eta=2.0)
+    result = solve(spec)
+    assert result.iterations_run == 0
+    target = lift(zero_forcing_target(spec.channel, spec.symbols))
+    # g_lin at v = w = 0 is (1 - ||c||)^2, below the objective
+    # ||x0 - c||^2 by the triangle inequality
+    expected = (1.0 - np.linalg.norm(target)) ** 2
+    assert result.lower_bound == pytest.approx(expected, rel=1e-12)
+    assert result.lower_bound <= result.objective

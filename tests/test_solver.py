@@ -124,6 +124,12 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError, match="tolerance"):
             _spec(0, feasibility_tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError,
+                           match="tolerance must be finite and > 0"):
+            _spec(0, feasibility_tolerance=tolerance)
+
     def test_pinned_reference_must_satisfy_papr_cap(self):
         # single antenna, two samples, PAPR = 0.8 / 0.5 = 1.6
         ref = ReferenceWaveform(np.array([[np.sqrt(0.8), np.sqrt(0.2)]],
