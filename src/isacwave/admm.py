@@ -53,40 +53,39 @@ dual_updates), kept with the tests in tests/reference_admm.py: the
 loop keeps each of their operand orders, and so their results, to the
 last bit.
 
-Certified stop.  Minimising the Lagrangian of the splitting over x_bar
-and the three constraint sets gives, for any duals (u, v, w), the value
-
-    g = s^T c - ||s||^2/4 - v^T x0 - ||u|| - epsilon ||v||
-        - sqrt(eta/(N*L)) sum_n ||w_n||,     s = u + v + P^T w,
-
-with c the lifted target, x0 the lifted reference and P the map from
-slots to per-sample pairs.  By weak duality g is a lower bound on the
-optimum for any duals, nonconvex as the problem is; the sphere and the
-unit ball have the same support function, so it bounds the problem with
-the ball in place of the sphere too.
-
-g can stay loose on a design that is already optimal, its gap held
-open by the sphere multiplier u.  A second bound drops u: on the
-feasible set ||x|| = 1, so ||x - c||^2 = 1 + ||c||^2 - 2 c^T x, and
-minimising the Lagrangian of that linear objective with x kept on the
-sphere gives
+Certified stop.  On the feasible set ||x_bar|| = 1, so the objective
+||x_bar - c||^2 is 1 + ||c||^2 - 2 c^T x_bar there, with c the lifted
+target.  Dualising the ball and the discs with multipliers v and w and
+minimising that Lagrangian with x_bar kept on the sphere gives, for any
+duals (v, w),
 
     g_lin = 1 + ||c||^2 - v^T x0 - ||2c - v - P^T w|| - epsilon ||v||
             - sqrt(eta/(N*L)) sum_n ||w_n||,
 
-the S-procedure shift of the sphere multiplier.  Both are weak-duality
-bounds on the same optimum, so their maximum is one too, and
-:func:`lower_bound` returns max(g, g_lin).  At zero duals g_lin is
-(1 - ||c||)^2.  The bound certifies a design only when the design is
-feasible: a block inside the tolerance but off the sets can sit below
-it.  An early_stop row ends at the first check iteration, every
-_STOP_CHECK_EVERY, where its violations (exactly those the result
+with x0 the lifted reference and P the map from slots to per-sample
+pairs (:func:`lower_bound`).  By weak duality g_lin is a lower bound on
+the optimum for any duals, nonconvex as the problem is.  It is never
+below the dual of the whole splitting, which also dualises the sphere
+with u and minimises over an unconstrained x_bar,
+
+    g = s^T c - ||s||^2/4 - v^T x0 - ||u|| - epsilon ||v||
+        - sqrt(eta/(N*L)) sum_n ||w_n||,     s = u + v + P^T w:
+
+for x on the sphere, ||x - c||^2 + (v + P^T w)^T x
+= ||x - c||^2 + s^T x - u^T x >= min_y (||y - c||^2 + s^T y) - ||u||,
+so g <= g_lin for every (u, v, w).  g can stay loose on a design that is
+already optimal, its gap held open by u; keeping x_bar on the sphere,
+the S-procedure shift of the sphere multiplier, closes it on most such
+designs.  At zero duals g_lin is (1 - ||c||)^2.  The bound certifies a
+design only when the design is feasible: a block inside the tolerance
+but off the sets can sit below it.  An early_stop row ends at the first check iteration,
+every _STOP_CHECK_EVERY, where its violations (exactly those the result
 reports) are within feasibility_tolerance and its relative gap
-(f - g)/max(|f|, _GAP_FLOOR) is at most _CERTIFIED_GAP.  The floor,
+(f - g_lin)/max(|f|, _GAP_FLOOR) is at most _CERTIFIED_GAP.  The floor,
 1e-6, lets a design whose target is feasible certify as f goes to 0,
-once f - g <= 1e-14: on 20 zf-normalized instances at eps 1.5 and 2,
-eta 3, every such design stops by iteration 40 with a floor of 1e-6 or
-1e-4, by 50 with 1e-8, and some never do with 1e-10.  A row whose gap
+once f - g_lin <= 1e-14: on 20 zf-normalized instances at eps 1.5 and
+2, eta 3, every such design stops by iteration 40 with a floor of 1e-6
+or 1e-4, by 50 with 1e-8, and some never do with 1e-10.  A row whose gap
 never closes runs its budget.
 """
 
@@ -294,7 +293,6 @@ def zero_forcing_target(
 
 
 def lower_bound(
-    u: np.ndarray,
     v: np.ndarray,
     w: np.ndarray,
     x_bar_comm: np.ndarray,
@@ -302,33 +300,24 @@ def lower_bound(
     epsilon,
     eta,
 ) -> np.ndarray:
-    """Lagrangian dual bound max(g, g_lin) at the duals (u, v, w).
+    """Lagrangian dual bound g_lin at the duals (v, w).
 
-    With s = u + v + P^T w, the Lagrangian of the splitting has its
-    minimum over x_bar, s^T c - ||s||^2/4, at x_bar = c - s/2; over the
-    sphere, the epsilon-ball and the per-sample discs the dual terms
-    contribute -||u||, -v^T x0 - epsilon ||v|| and
-    -sqrt(eta/(N*L)) sum_n ||w_n||: that sum is g.  g_lin is the dual of
-    the same problem with the objective written as 1 + ||c||^2 - 2 c^T x,
-    its value on the unit sphere, and x_bar kept on the sphere: its
-    minimum over x_bar is -||2c - v - P^T w||, and u drops out.  By weak
-    duality each of g and g_lin, and so their maximum, bounds
+    On the unit sphere the objective is 1 + ||c||^2 - 2 c^T x_bar.  With
+    the ball and the discs dualised, its Lagrangian has its minimum over
+    x_bar on the sphere, -||2c - v - P^T w||, at x_bar along
+    2c - v - P^T w; over the epsilon-ball and the per-sample discs the
+    dual terms contribute -v^T x0 - epsilon ||v|| and
+    -sqrt(eta/(N*L)) sum_n ||w_n||.  By weak duality the sum bounds
     min ||x_bar - x_bar_comm||^2 over the feasible set from below for any
     duals.  Acts on the trailing axes, one value per row; epsilon and
     eta are scalars or one value per row.
     """
     n_total = w.shape[-2]
-    w_slots = scatter_pairs(w)
-    # the ball's and the discs' terms, shared by g and g_lin
     constraints = (np.vecdot(v, x_bar_0) + _per_row(epsilon, 0) * _row_norm(v)
                    + np.sqrt(_per_row(eta, 0) / n_total)
                    * np.add.reduce(_row_norm(w), axis=-1))
-    s = u + v + w_slots
-    g = (np.vecdot(s, x_bar_comm) - 0.25 * np.vecdot(s, s) - _row_norm(u)
-         - constraints)
-    g_lin = (1.0 + np.vecdot(x_bar_comm, x_bar_comm)
-             - _row_norm(2.0 * x_bar_comm - v - w_slots) - constraints)
-    return np.maximum(g, g_lin)
+    return (1.0 + np.vecdot(x_bar_comm, x_bar_comm)
+            - _row_norm(2.0 * x_bar_comm - v - scatter_pairs(w)) - constraints)
 
 
 @dataclass(frozen=True)
@@ -512,22 +501,22 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
     rho_row = _per_row(rho, 1)
     denominator = 2.0 + 3.0 * rho_row
     iteration = 0
-    # each row's iterate and duals at its end; a pinned row keeps the
-    # reference and zero duals
+    # each row's iterate and the duals the bound reads, v and w, at its
+    # end; a pinned row keeps the reference and zero duals
     x_bar_end = x_bar_0.copy()
-    duals_end = np.zeros((3,) + shape)
+    v_w_end = np.zeros((2,) + shape)
 
-    def objective_and_bound(x_bar, u, v, w_slots):
+    def objective_and_bound(x_bar, v, w_slots):
         miss = x_bar - x_bar_comm
         # lower_bound takes w as C-order (Re, Im) pairs
         w = np.ascontiguousarray(
             w_slots.reshape(n_rows, 2, n_total).swapaxes(1, 2))
         return (np.vecdot(miss, miss),
-                lower_bound(u, v, w, x_bar_comm, x_bar_0, epsilon, eta))
+                lower_bound(v, w, x_bar_comm, x_bar_0, epsilon, eta))
 
     def end(rows):
         x_bar_end[rows] = x_bar[rows]
-        duals_end[:, rows] = u_v_w[:, rows]
+        v_w_end[:, rows] = u_v_w[1:, rows]
         ends[rows] = iteration
 
     for m in range(n_iterations):
@@ -571,7 +560,7 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
                                  <= tolerance, axis=0))
             # most checks find no row feasible, and then skip the bound
             if feasible.any():
-                objective, bound = objective_and_bound(x_bar, *u_v_w)
+                objective, bound = objective_and_bound(x_bar, *u_v_w[1:])
                 stopped = feasible & (_relative_gap(objective, bound)
                                       <= _CERTIFIED_GAP)
                 if stopped.any():
@@ -591,7 +580,7 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
             checked = np.where(adaptive, largest, checked)
 
     end(running)
-    objective, bound = objective_and_bound(x_bar_end, *duals_end)
+    objective, bound = objective_and_bound(x_bar_end, *v_w_end)
     violations = _violations(x_bar_end, x_bar_0, epsilon, eta)
     return [(x_bar_end[i], objective[i], bound[i], violations[:, i],
              norms[:ran, :, i].T.copy(), trajectories[i])
