@@ -49,9 +49,11 @@ arguments are [u, v, w]/rho + [x, x - x0, x], the consensus gaps are
 [x, x - x0, x] - [alpha, beta, gamma], and one call ascends the three
 duals.  Its reference is the same iteration written as separate step
 functions (x_update, alpha_update, beta_update, gamma_update and
-dual_updates), kept with the tests in tests/reference_admm.py: the
-loop keeps each of their operand orders, and so their results, to the
-last bit.
+dual_updates), kept with the tests in tests/reference_admm.py, which
+hold gamma and w as per-sample (Re, Im) pairs: the loop keeps each of
+their operand orders, and so their results, to the last bit.  The slot
+layout is the only one the loop and the bound read; only the PAPR
+residual norm is summed in pair order, the reference's order.
 
 Certified stop.  On the feasible set ||x_bar|| = 1, so the objective
 ||x_bar - c||^2 is 1 + ||c||^2 - 2 c^T x_bar there, with c the lifted
@@ -62,8 +64,9 @@ duals (v, w),
     g_lin = 1 + ||c||^2 - v^T x0 - ||2c - v - P^T w|| - epsilon ||v||
             - sqrt(eta/(N*L)) sum_n ||w_n||,
 
-with x0 the lifted reference and P the map from slots to per-sample
-pairs (:func:`lower_bound`).  By weak duality g_lin is a lower bound on
+with x0 the lifted reference, P the map from slots to per-sample
+pairs and w_n the pair of sample n (:func:`lower_bound`); a w in the
+slot layout is already P^T w.  By weak duality g_lin is a lower bound on
 the optimum for any duals, nonconvex as the problem is.  It is never
 below the dual of the whole splitting, which also dualises the sphere
 with u and minimises over an unconstrained x_bar,
@@ -196,6 +199,8 @@ class ProblemSpec:
                 or not isinstance(self.max_iterations, numbers.Integral)
                 or self.max_iterations < 1):
             raise ValueError("max_iterations must be an integer >= 1")
+        if not isinstance(self.early_stop, (bool, np.bool_)):
+            raise ValueError("early_stop must be a bool")
         if not (self.feasibility_tolerance > 0
                 and math.isfinite(self.feasibility_tolerance)):
             raise ValueError("feasibility_tolerance must be finite and > 0")
@@ -252,20 +257,6 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
-def coupling_pairs(x_bar: np.ndarray) -> np.ndarray:
-    """Per-sample (Re, Im) pairs of a lifted vector, shape (..., N*L, 2)."""
-    half = x_bar.shape[-1] // 2
-    pairs = np.empty(x_bar.shape[:-1] + (half, 2))
-    pairs[..., 0] = x_bar[..., :half]
-    pairs[..., 1] = x_bar[..., half:]
-    return pairs
-
-
-def scatter_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`coupling_pairs`: place pairs back into slots."""
-    return pairs.swapaxes(-1, -2).reshape(pairs.shape[:-2] + (-1,))
-
-
 def zero_forcing_target(
     channel: ChannelRealization, symbols: SymbolBlock
 ) -> np.ndarray:
@@ -302,22 +293,26 @@ def lower_bound(
 ) -> np.ndarray:
     """Lagrangian dual bound g_lin at the duals (v, w).
 
-    On the unit sphere the objective is 1 + ||c||^2 - 2 c^T x_bar.  With
-    the ball and the discs dualised, its Lagrangian has its minimum over
-    x_bar on the sphere, -||2c - v - P^T w||, at x_bar along
-    2c - v - P^T w; over the epsilon-ball and the per-sample discs the
-    dual terms contribute -v^T x0 - epsilon ||v|| and
-    -sqrt(eta/(N*L)) sum_n ||w_n||.  By weak duality the sum bounds
+    w is in the slot layout of x_bar, as the loop holds it, so it is
+    already P^T w.  On the unit sphere the objective is
+    1 + ||c||^2 - 2 c^T x_bar.  With the ball and the discs dualised, its
+    Lagrangian has its minimum over x_bar on the sphere,
+    -||2c - v - P^T w||, at x_bar along 2c - v - P^T w; over the
+    epsilon-ball and the per-sample discs the dual terms contribute
+    -v^T x0 - epsilon ||v|| and -sqrt(eta/(N*L)) sum_n ||w_n||, with w_n
+    the pair of slots (n, N*L + n).  By weak duality the sum bounds
     min ||x_bar - x_bar_comm||^2 over the feasible set from below for any
-    duals.  Acts on the trailing axes, one value per row; epsilon and
+    duals.  Acts on the trailing axis, one value per row; epsilon and
     eta are scalars or one value per row.
     """
-    n_total = w.shape[-2]
+    n_total = w.shape[-1] // 2
+    discs = w.reshape(w.shape[:-1] + (2, n_total))
     constraints = (np.vecdot(v, x_bar_0) + _per_row(epsilon, 0) * _row_norm(v)
                    + np.sqrt(_per_row(eta, 0) / n_total)
-                   * np.add.reduce(_row_norm(w), axis=-1))
+                   * np.add.reduce(np.sqrt(np.vecdot(discs, discs, axis=-2)),
+                                   axis=-1))
     return (1.0 + np.vecdot(x_bar_comm, x_bar_comm)
-            - _row_norm(2.0 * x_bar_comm - v - scatter_pairs(w)) - constraints)
+            - _row_norm(2.0 * x_bar_comm - v - w) - constraints)
 
 
 @dataclass(frozen=True)
@@ -493,8 +488,12 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
     t_sphere_ball, t_sphere, t_ball = t[:2], t[0], t[1]
     t_pairs = t[2].reshape(n_rows, 2, n_total)
     squares = np.empty_like(t_pairs)
-    # the gaps reuse t, spent once the projections are done
-    gaps, gaps_sphere_ball, gaps_papr = t, t_sphere_ball, t[2]
+    # the gaps reuse t, spent once the projections are done; the PAPR
+    # gap is squared into pair order, (Re, Im) per sample, for its sum
+    gaps, gaps_sphere_ball, gaps_papr = t, t_sphere_ball, t_pairs
+    papr_squares = np.empty(shape)
+    papr_squares_slots = papr_squares.reshape(n_rows, n_total,
+                                              2).transpose(0, 2, 1)
     epsilon_row, cap = _per_row(epsilon, 0), _per_row(eta, 1) / n_total
     # max(max(norm, epsilon), tiny) as max(norm, max(epsilon, tiny))
     ball_floor = np.maximum(epsilon_row, _TINY)
@@ -506,11 +505,8 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
     x_bar_end = x_bar_0.copy()
     v_w_end = np.zeros((2,) + shape)
 
-    def objective_and_bound(x_bar, v, w_slots):
+    def objective_and_bound(x_bar, v, w):
         miss = x_bar - x_bar_comm
-        # lower_bound takes w as C-order (Re, Im) pairs
-        w = np.ascontiguousarray(
-            w_slots.reshape(n_rows, 2, n_total).swapaxes(1, 2))
         return (np.vecdot(miss, miss),
                 lower_bound(v, w, x_bar_comm, x_bar_0, epsilon, eta))
 
@@ -547,9 +543,8 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
         row_norms = norms[m]
         np.vecdot(gaps_sphere_ball, gaps_sphere_ball, out=row_norms[:2])
         # the PAPR residual is summed in pair order
-        papr_gap = coupling_pairs(gaps_papr)
-        np.add.reduce((papr_gap * papr_gap).reshape(n_rows, -1), axis=-1,
-                      out=row_norms[2])
+        np.multiply(gaps_papr, gaps_papr, out=papr_squares_slots)
+        np.add.reduce(papr_squares, axis=-1, out=row_norms[2])
         np.sqrt(row_norms, out=row_norms)
         gaps *= rho_row
         u_v_w += gaps

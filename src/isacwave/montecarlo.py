@@ -72,8 +72,9 @@ _GAMMA_GRID_DB = np.linspace(0.0, 10.0, 201)
 # most rows (trials x grid points) designed as one solver stack.  A stack
 # amortises numpy's per-call overhead over its rows, and the cap bounds
 # the memory a sweep holds at once.  256 was chosen before the fused
-# iteration; on 4 x 16 blocks 64 rows now measure 8-12% cheaper per row
-# (ROADMAP item 3), so the value awaits re-tuning there.
+# iteration; on 4 x 16 blocks 64 rows now measure 7-15% cheaper per row
+# (3.3-3.8 against 3.9-4.1 us per row-iteration, ROADMAP item 3), so
+# the value awaits re-tuning there.
 _CHUNK_ROWS = 256
 
 
@@ -416,11 +417,15 @@ def _map_trials(fn, trials, threads: int, grid_size: int = 1) -> list:
         return [row for rows in pool.map(fn, chunks) for row in rows]
 
 
-def detect_qpsk(received, constellation="qpsk") -> np.ndarray:
-    """Indices of the nearest constellation points, ties to lowest index."""
-    points = constellation_points(constellation)
+def detect_qpsk(received) -> np.ndarray:
+    """Indices of the nearest QPSK points, ties to the lowest index.
+
+    The points (+-1 +-1j)/sqrt(2) are ordered by the signs of (Re, Im),
+    so the nearest is read off the quadrant; a zero part lies on a tie
+    and takes the point with the lower index, the positive one.
+    """
     y = np.asarray(received, dtype=complex)
-    return np.argmin(np.abs(y[..., None] - points), axis=-1)
+    return 2 * (y.real < 0) + (y.imag < 0)
 
 
 # what a grid holds, for the message that rejects a second entry
@@ -577,7 +582,7 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
     skipping one leaves the others' noise unchanged.
     Returns a (T, P) array of counts.
     """
-    transmitted = detect_qpsk(sent, cfg.constellation)
+    transmitted = detect_qpsk(sent)
     points = np.flatnonzero(open_points)
     shape = sent.shape[1:]
     # the real and imaginary parts, drawn in that order from one stream
@@ -589,7 +594,7 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
     noise = parts[:, :, 0] + 1j * parts[:, :, 1]
     for j, p in enumerate(points):
         noise[:, j] *= math.sqrt(sigma2s[p] / 2.0)
-    detected = detect_qpsk(received_clean[:, None] + noise, cfg.constellation)
+    detected = detect_qpsk(received_clean[:, None] + noise)
     counts = np.zeros((len(trials), len(sigma2s)), dtype=np.int64)
     counts[:, points] = np.count_nonzero(detected != transmitted[:, None],
                                          axis=(2, 3))

@@ -9,9 +9,13 @@ tests hold each step to an independent oracle and hold the fused loop
 to these steps bit for bit (`test_solve_stack.py`), so the loop must
 keep every operand order written here.
 
-The steps reach the solver's own helpers as `admm.<name>`, so they share
-the loop's pair layout and row norms.  The file name does not match
-pytest's test patterns; it is imported by the tests, not collected.
+The solver holds the disc auxiliary gamma and its dual w in the slot
+layout of x_bar.  The steps here hold them as per-sample (Re, Im) pairs,
+the layout of the paper's per-sample discs, and this module defines that
+layout (`coupling_pairs`, `scatter_pairs`) together with the duality
+bound written in it (`lower_bound`).  The steps reach the solver's row
+norms as `admm.<name>`.  The file name does not match pytest's test
+patterns; it is imported by the tests, not collected.
 """
 
 from __future__ import annotations
@@ -21,6 +25,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from isacwave import admm
+
+
+def coupling_pairs(x_bar: np.ndarray) -> np.ndarray:
+    """Per-sample (Re, Im) pairs of a lifted vector, shape (..., N*L, 2)."""
+    half = x_bar.shape[-1] // 2
+    pairs = np.empty(x_bar.shape[:-1] + (half, 2))
+    pairs[..., 0] = x_bar[..., :half]
+    pairs[..., 1] = x_bar[..., half:]
+    return pairs
+
+
+def scatter_pairs(pairs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`coupling_pairs`: place pairs back into slots."""
+    return pairs.swapaxes(-1, -2).reshape(pairs.shape[:-2] + (-1,))
+
+
+def lower_bound(
+    v: np.ndarray,
+    w: np.ndarray,
+    x_bar_comm: np.ndarray,
+    x_bar_0: np.ndarray,
+    epsilon,
+    eta,
+) -> np.ndarray:
+    """The duality bound g_lin of `admm.lower_bound`, with w as pairs.
+
+    w has shape (..., N*L, 2); the disc sum takes each pair's norm as a
+    row norm, and the sphere term places w back into slots.
+    """
+    n_total = w.shape[-2]
+    constraints = (np.vecdot(v, x_bar_0)
+                   + admm._per_row(epsilon, 0) * admm._row_norm(v)
+                   + np.sqrt(admm._per_row(eta, 0) / n_total)
+                   * np.add.reduce(admm._row_norm(w), axis=-1))
+    return (1.0 + np.vecdot(x_bar_comm, x_bar_comm)
+            - admm._row_norm(2.0 * x_bar_comm - v - scatter_pairs(w))
+            - constraints)
 
 
 class DegenerateProjectionError(ValueError):
@@ -77,8 +118,8 @@ def x_update(
         2.0 * x_bar_comm
         - state.u
         - state.v
-        - admm.scatter_pairs(state.w)
-        + rho * (state.alpha + x_bar_0 + state.beta + admm.scatter_pairs(state.gamma))
+        - scatter_pairs(state.w)
+        + rho * (state.alpha + x_bar_0 + state.beta + scatter_pairs(state.gamma))
     )
     return pull / (2.0 + 3.0 * rho)
 
@@ -139,7 +180,7 @@ def gamma_update(
     scalar or one value per row.
     """
     # the pairs' Re and Im parts, computed in the slots of x_bar
-    t = x_bar_new + admm.scatter_pairs(w) / admm._per_row(rho, 1)
+    t = x_bar_new + scatter_pairs(w) / admm._per_row(rho, 1)
     re, im = t[..., :n_total], t[..., n_total:]
     cap = admm._per_row(eta, 1) / n_total
     # exactly 1 for pairs inside the disc (cap / cap), a zero pair included
@@ -184,7 +225,7 @@ def augmented_lagrangian(
     """
     r_energy = x_bar - alpha
     r_similarity = x_bar - x_bar_0 - beta
-    r_papr = admm.coupling_pairs(x_bar) - gamma
+    r_papr = coupling_pairs(x_bar) - gamma
     value = (
         np.linalg.norm(x_bar - x_bar_comm) ** 2
         + u @ r_energy

@@ -29,12 +29,7 @@ import numpy as np
 import pytest
 
 from isacwave import cli
-from isacwave.admm import (
-    ProblemSpec,
-    scatter_pairs,
-    solve,
-    zero_forcing_target,
-)
+from isacwave.admm import ProblemSpec, solve, zero_forcing_target
 from isacwave.montecarlo import analytic_qpsk_ser, run_ccdf, run_ser, run_sumrate
 from isacwave.signal_model import (
     chirp_reference,
@@ -48,6 +43,7 @@ from reference_admm import (
     augmented_lagrangian,
     beta_update,
     gamma_update,
+    scatter_pairs,
     x_update,
 )
 

@@ -4,7 +4,9 @@ The bound is held against an oracle: with the PAPR cap inactive
 (eta = N*L) and the similarity ball active, the best block has a closed
 form.  Instances are built backwards from a chosen optimum and its
 multipliers, so the oracle and the duals that attain the bound are both
-known.
+known.  The bound takes w in the solver's slot layout; it is held bit
+for bit to the same bound written with w as per-sample pairs
+(``reference_admm``).
 """
 
 from dataclasses import replace
@@ -22,6 +24,8 @@ from isacwave.signal_model import (
     draw_symbols,
     lift,
 )
+
+import reference_admm as ref
 
 
 def _closed_form(c, x0, epsilon):
@@ -75,13 +79,35 @@ def test_bound_never_exceeds_the_optimum_and_meets_it_at_the_kkt_duals(
     dim = 2 * n_total
     mix = rng.standard_normal(3)
     dv = mix[0] * c + mix[1] * x0 + mix[2] * rng.standard_normal(dim)
-    w = scales[1] * rng.standard_normal((n_total, 2))
+    w = scales[1] * rng.standard_normal(dim)
     bound = lower_bound(v + scales[0] * dv, w, c, x0, epsilon, eta)
     assert bound <= optimum + slack
 
     # the instance's own ball multiplier attains it (zero duality gap)
-    attained = lower_bound(v, np.zeros((n_total, 2)), c, x0, epsilon, eta)
+    attained = lower_bound(v, np.zeros(dim), c, x0, epsilon, eta)
     assert attained >= optimum - slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=st.sampled_from(((), (1,), (3,), (40,), (256,))),
+       n_total=st.sampled_from((1, 4, 64, 80)),
+       seed=st.integers(0, 2 ** 32 - 1), scale=_SCALES,
+       per_row=st.booleans())
+def test_the_slot_layout_bound_is_the_pair_layout_bound_bitwise(
+        batch, n_total, seed, scale, per_row):
+    # tolerance 0: each disc norm is the same two-term dot product in
+    # either layout, summed in the same order
+    rng = np.random.default_rng(seed)
+    dim = 2 * n_total
+    v, c, x0 = (rng.standard_normal(batch + (dim,)) for _ in range(3))
+    pairs = scale * rng.standard_normal(batch + (n_total, 2))
+    epsilon, eta = 1.0, float(n_total)
+    if per_row and batch:
+        epsilon = rng.uniform(0.1, 2.0, batch)
+        eta = rng.uniform(1.0, n_total, batch)
+    np.testing.assert_array_equal(
+        lower_bound(v, ref.scatter_pairs(pairs), c, x0, epsilon, eta),
+        ref.lower_bound(v, pairs, c, x0, epsilon, eta))
 
 
 N, K, L = 4, 2, 16

@@ -132,11 +132,6 @@ class TestDetector:
         received = np.zeros((2, 5), dtype=complex)
         assert detect_qpsk(received).shape == (2, 5)
 
-    def test_sixteen_qam_corner(self):
-        points = constellation_points("16qam")
-        idx = detect_qpsk(1.0 + 1.0j, "16qam")
-        assert points[idx] == pytest.approx((3 + 3j) / math.sqrt(10))
-
 
 class TestAnalyticSer:
     def test_frozen_value_at_unit_snr(self):

@@ -35,16 +35,20 @@ PUBLIC = (
     "__version__",
 )
 
-# the ADMM iteration as separate step functions; they live with the
-# tests (reference_admm), and the library runs only its fused loop
+# the ADMM iteration as separate step functions, with the per-sample
+# (Re, Im) pair layout they hold gamma and w in; they live with the
+# tests (reference_admm), and the library runs only its fused loop, in
+# the slot layout
 REFERENCE_STEPS = (
     "AdmmState",
     "DegenerateProjectionError",
     "alpha_update",
     "augmented_lagrangian",
     "beta_update",
+    "coupling_pairs",
     "dual_updates",
     "gamma_update",
+    "scatter_pairs",
     "x_update",
 )
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isacwave import admm
+from isacwave import admm, montecarlo
 from isacwave.admm import ProblemSpec, solve, zero_forcing_target
 from isacwave.signal_model import (
     ChannelRealization,
@@ -179,7 +179,7 @@ def _step_function_loop(specs):
                                        n_total)
         energy_gap = state.x_bar - state.alpha
         similarity_gap = state.x_bar - x_0 - state.beta
-        papr_gap = admm.coupling_pairs(state.x_bar) - state.gamma
+        papr_gap = ref.coupling_pairs(state.x_bar) - state.gamma
         history.append((
             np.sqrt(np.vecdot(energy_gap, energy_gap)),
             np.sqrt(np.vecdot(similarity_gap, similarity_gap)),
@@ -305,26 +305,50 @@ def test_a_stopped_row_takes_no_later_rho_doubling():
 
 
 def test_a_stack_of_pinned_rows_runs_no_iteration(monkeypatch):
-    # the loop builds the pair layout of the PAPR gap once per iteration
+    # the loop checks feasibility every _STOP_CHECK_EVERY iterations, and
+    # every stack reports its rows' violations once, at the end
     calls = []
-    coupling_pairs = admm.coupling_pairs
+    violations = admm._violations
 
-    def counting_coupling_pairs(*args):
+    def counting_violations(*args):
         calls.append(1)
-        return coupling_pairs(*args)
+        return violations(*args)
 
-    monkeypatch.setattr(admm, "coupling_pairs", counting_coupling_pairs)
+    monkeypatch.setattr(admm, "_violations", counting_violations)
     pinned = [_spec(4, 2, 16, seed, epsilon=0.0, eta=2.0, max_iterations=50)
               for seed in range(3)]
     for spec, result in zip(pinned, solve(pinned)):
         np.testing.assert_array_equal(result.waveform.entries,
                                       spec.reference.entries)
         assert result.iterations_run == 0
-    assert calls == []
-    # the counter sees the loop once a row needs it
-    solve(pinned + [_spec(4, 2, 16, 3, epsilon=1.0, eta=2.0,
-                          max_iterations=50)])
-    assert len(calls) == 50
+    assert calls == [1]
+    # the loop runs once a row needs it, and only that row
+    mixed = solve(pinned + [_spec(4, 2, 16, 3, epsilon=1.0, eta=2.0,
+                                  max_iterations=50)])
+    assert [r.residual_history.papr.size for r in mixed] == [0, 0, 0, 50]
+
+
+def test_a_stack_of_chunk_size_is_its_rows_solved_apart():
+    # a sweep designs up to _CHUNK_ROWS rows as one stack, where the
+    # loop's buffers run past 128 KB; its rows must still come out as
+    # they do in smaller stacks and alone
+    n_rows = montecarlo._CHUNK_ROWS
+    instances = [_spec(4, 2, 16, seed, epsilon=1.0, eta=2.0)
+                 for seed in range(16)]
+    specs = [replace(instances[i % 16], rho=(0.1, 0.5, 1.0, 5.0)[i % 4],
+                     eta=(1.0, 1.5, 3.0, 8.0)[i // 4 % 4],
+                     epsilon=(0.5, 1.0, 1.5)[i % 3], max_iterations=30,
+                     rho_schedule=("fixed", "adaptive")[i // 16 % 2],
+                     early_stop=bool(i // 32 % 2))
+             for i in range(n_rows)]
+    stacked = solve(specs)
+    quarter = n_rows // 4
+    apart = [result for lo in range(0, n_rows, quarter)
+             for result in solve(specs[lo:lo + quarter])]
+    for whole, part in zip(stacked, apart):
+        _assert_same(whole, part)
+    for i in (0, n_rows // 2 - 1, n_rows - 1):
+        _assert_same(stacked[i], solve(specs[i]))
 
 
 def test_single_spec_gives_a_result_and_a_list_gives_a_list():

@@ -120,6 +120,15 @@ class TestProblemSpecValidation:
         result = solve(_spec(0, max_iterations=np.int64(3)))
         assert result.iterations_run == 3
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_non_bool_early_stop_rejected(self, flag):
+        with pytest.raises(ValueError, match="early_stop must be a bool"):
+            _spec(0, early_stop=flag)
+
+    def test_numpy_bool_early_stop_accepted(self):
+        result = solve(_spec(0, max_iterations=20, early_stop=np.bool_(False)))
+        assert result.iterations_run == 20
+
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             _spec(0, feasibility_tolerance=0.0)
