@@ -6,7 +6,12 @@ the results into a CurveTable of named series over a fixed axis.  The
 designs are solved in stacks of up to 256 rows (trials x grid points),
 at least one stack per worker process; a ccdf sweep draws each trial
 once and designs it at every (rho, eta) point within one stack, while
-the rate and SER sweeps stack one grid point at a time.  All randomness
+the rate and SER sweeps stack one grid point at a time.  The rate and
+SER designs stop once feasible and certified optimal; the ccdf designs
+run the whole m_iter budget, since that experiment compares penalty
+weights at one budget.  Before it starts a worker pool, the parent
+imports numpy.random (numpy imports it on first use), so the forked
+workers inherit it instead of each importing it.  All randomness
 flows through per-trial streams keyed by (base_seed, trial, purpose),
 and a stacked design does not depend on its neighbours, so a table is
 bitwise reproducible and invariant to the number of worker processes.
@@ -353,12 +358,16 @@ def _trial_instances(cfg: ExperimentConfig, trials) -> list:
     ]
 
 
-def _solve_trials(cfg: ExperimentConfig, grid, trials) -> list:
+def _solve_trials(cfg: ExperimentConfig, grid, trials,
+                  early_stop: bool = False) -> list:
     """Draw a chunk of trials once and design each at every entry of
     ``grid``, a sequence of (epsilon, eta, rho), all as one stack.
 
-    Returns (channel, symbols, SolveResult) per trial and grid entry,
-    trial by trial and, within a trial, in grid order.
+    Every design keeps its rho_grid entry as its penalty weight for the
+    whole solve.  With ``early_stop`` a design ends once it is feasible
+    and certified optimal; without it every design runs the m_iter
+    budget.  Returns (channel, symbols, SolveResult) per trial and grid
+    entry, trial by trial and, within a trial, in grid order.
     """
     instances = _trial_instances(cfg, trials)
     reference = chirp_reference(cfg.n_antennas, cfg.n_samples)
@@ -373,9 +382,9 @@ def _solve_trials(cfg: ExperimentConfig, grid, trials) -> list:
             max_iterations=cfg.m_iter,
             # the ccdf experiment compares penalty weights, which only
             # holds when each rho_grid entry stays the weight of the
-            # whole solve; every trial runs the same m_iter budget
+            # whole solve
             rho_schedule="fixed",
-            early_stop=False,
+            early_stop=early_stop,
         )
         for channel, symbols in instances
         for epsilon, eta, rho in grid
@@ -413,6 +422,9 @@ def _map_trials(fn, trials, threads: int, grid_size: int = 1) -> list:
     workers = min(threads, len(chunks))
     if workers <= 1:
         return [row for chunk in chunks for row in fn(chunk)]
+    # numpy imports numpy.random on first use; imported here, it is
+    # inherited by every forked worker instead of imported by each
+    import numpy.random  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [row for rows in pool.map(fn, chunks) for row in rows]
 
@@ -461,8 +473,10 @@ def _labelled(pairs) -> dict:
 
 def _ccdf_trials(cfg: ExperimentConfig, grid, trials) -> list:
     """Per trial, the PAPR of its design at every grid entry."""
+    # the experiment compares penalty weights at one iteration budget
     paprs = [kpi.papr_db(result.waveform.vec)
-             for _, _, result in _solve_trials(cfg, grid, trials)]
+             for _, _, result in _solve_trials(cfg, grid, trials,
+                                               early_stop=False)]
     return [paprs[i:i + len(grid)] for i in range(0, len(paprs), len(grid))]
 
 
@@ -502,7 +516,8 @@ def _sumrate_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
     return [_rate_from_block(channel, result.waveform.vec, symbols,
                              noise_variance)
             for channel, symbols, result
-            in _solve_trials(cfg, [(epsilon, eta, rho)], trials)]
+            in _solve_trials(cfg, [(epsilon, eta, rho)], trials,
+                             early_stop=True)]
 
 
 def _zero_mui_rate_trials(cfg: ExperimentConfig, noise_variance: float,
@@ -604,7 +619,8 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
 def _ser_designed_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
                          rho: float, sigma2s: tuple, open_points: np.ndarray,
                          trials) -> np.ndarray:
-    solved = _solve_trials(cfg, [(epsilon, eta, rho)], trials)
+    solved = _solve_trials(cfg, [(epsilon, eta, rho)], trials,
+                           early_stop=True)
     received = np.stack([channel.matrix @ result.waveform.entries
                          for channel, _, result in solved])
     sent = np.stack([symbols.symbols for _, symbols, _ in solved])

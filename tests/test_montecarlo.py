@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from functools import partial
 
 import numpy as np
@@ -260,6 +264,37 @@ class TestWorkerCount:
         run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
                       n_trials=4, m_iter=20), threads=2)
         assert sizes == [2]
+
+
+    def test_forked_workers_start_with_numpy_random_imported(self):
+        # numpy imports numpy.random lazily, and nothing before the pool
+        # draws, so each worker would import it.  The check runs in a new
+        # interpreter: here numpy.random is already imported
+        script = textwrap.dedent("""
+            import json, multiprocessing, sys
+            from isacwave import montecarlo
+
+            def loaded(chunk):
+                return [("numpy.random" in sys.modules, chunk[0])
+                        for _ in chunk]
+
+            if __name__ == "__main__":
+                print(json.dumps({
+                    "start_method": multiprocessing.get_start_method(),
+                    "loaded": montecarlo._map_trials(loaded, range(4),
+                                                     threads=2)}))
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        report = json.loads(done.stdout.splitlines()[-1])
+        if report["start_method"] != "fork":
+            pytest.skip("only forked workers inherit the parent's modules")
+        # two chunks of two trials, one per worker
+        assert report["loaded"] == [[True, 0], [True, 0], [True, 2],
+                                    [True, 2]]
 
 
 class TestSeriesLabels:
@@ -595,6 +630,33 @@ def _accumulate_ser_per_row(chunk_fn, n_points, symbols_per_trial):
                 break
         t = hi
     return errors, trials_used
+
+
+class TestCertifiedStopInSweeps:
+    # zf-normalized designs at eta 3 and epsilon 1.5 mostly certify by
+    # iteration 40
+    @pytest.mark.parametrize("driver, stops", [
+        (run_sumrate, True), (run_ser, True), (run_ccdf, False),
+    ], ids=["sumrate", "ser", "ccdf"])
+    def test_rate_and_ser_designs_stop_when_certified_and_ccdf_runs_m_iter(
+            self, monkeypatch, driver, stops):
+        iterations = []
+        real = montecarlo.solve
+
+        def recording_solve(specs):
+            results = real(specs)
+            iterations.extend(r.iterations_run for r in results)
+            return results
+
+        monkeypatch.setattr(montecarlo, "solve", recording_solve)
+        m_iter = 100
+        driver(_cfg(n_samples=16, eta_grid=(3.0,), epsilon_grid=(1.5,),
+                    snr_grid_db=(0.0,), n_trials=6, m_iter=m_iter))
+        assert iterations and max(iterations) <= m_iter
+        if stops:
+            assert min(iterations) < m_iter
+        else:
+            assert iterations == [m_iter] * len(iterations)
 
 
 class TestSerStoppingRule:

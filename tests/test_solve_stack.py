@@ -9,10 +9,11 @@ iteration bitwise to a loop composed of the reference step functions
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isacwave import admm, montecarlo
 from isacwave.admm import ProblemSpec, solve, zero_forcing_target
@@ -349,6 +350,64 @@ def test_a_stack_of_chunk_size_is_its_rows_solved_apart():
         _assert_same(whole, part)
     for i in (0, n_rows // 2 - 1, n_rows - 1):
         _assert_same(stacked[i], solve(specs[i]))
+
+
+_certifying = st.fixed_dictionaries({
+    "seed": st.integers(0, 10_000),
+    "epsilon": st.sampled_from((1.5, 2.0)),
+    "rho_schedule": st.sampled_from(("fixed", "adaptive")),
+})
+_budget_running = st.fixed_dictionaries({
+    "seed": st.integers(0, 10_000),
+    "epsilon": st.sampled_from((0.5, 1.0, 1.5)),
+    "rho": st.sampled_from((0.5, 1.0, 5.0)),
+    "rho_schedule": st.sampled_from(("fixed", "adaptive")),
+})
+
+
+@settings(max_examples=25, deadline=None)
+@given(certifying=st.lists(_certifying, min_size=1, max_size=6),
+       budget_running=st.lists(_budget_running, min_size=1, max_size=3),
+       pinned=st.integers(0, 2), max_iterations=st.integers(60, 220),
+       order=st.randoms(use_true_random=False))
+def test_rows_that_leave_the_stack_match_their_single_solves(
+        certifying, budget_running, pinned, max_iterations, order):
+    # zf-normalized rows at eta 3 and epsilon 1.5 or 2 mostly certify by
+    # iteration 40; rows at the constant-modulus cap eta = 1 never do,
+    # and pinned rows end at iteration 0.  Once at most half the rows
+    # still run, the running rows move to a smaller stack, and again
+    # each time that holds of the smaller stack
+    def design(row, **kw):
+        channel, symbols = montecarlo.draw_instance(
+            4, 2, 16, "qpsk", "zf-normalized", row["seed"], row["seed"] + 1)
+        return ProblemSpec(channel=channel, symbols=symbols,
+                           reference=chirp_reference(4, 16),
+                           epsilon=row["epsilon"],
+                           rho_schedule=row["rho_schedule"],
+                           max_iterations=max_iterations, **kw)
+
+    specs = ([design(row, eta=3.0) for row in certifying]
+             + [design(row, eta=1.0, rho=row["rho"])
+                for row in budget_running]
+             + [replace(design(certifying[0], eta=3.0), epsilon=0.0)
+                for _ in range(pinned)])
+    order.shuffle(specs)
+    alone = [solve(spec) for spec in specs]
+    ended = sum(r.iterations_run < max_iterations for r in alone)
+    assume(2 * ended >= len(specs))
+    assert any(r.iterations_run == max_iterations for r in alone)
+    cuts = []
+    keep = admm._Stack.keep
+
+    def counting_keep(stack, rows):
+        cuts.append((stack.rows.size, int(np.count_nonzero(rows))))
+        return keep(stack, rows)
+
+    with mock.patch.object(admm._Stack, "keep", counting_keep):
+        stacked = solve(specs)
+    assert cuts and all(0 < kept <= size // 2 for size, kept in cuts)
+    for whole, single in zip(stacked, alone):
+        _assert_same(whole, single)
 
 
 def test_single_spec_gives_a_result_and_a_list_gives_a_list():
