@@ -666,7 +666,7 @@ def _advance(stack: _Stack, start: int, record: tuple) -> int:
             np.copyto(checked, largest, where=adaptive)
         if shrink:
             break
-    else:
+    if iteration == norms.shape[0]:
         end(running)
     if cut:
         norms[start:iteration, :, rows] = history[:iteration - start]

@@ -352,6 +352,14 @@ def test_a_stack_of_chunk_size_is_its_rows_solved_apart():
         _assert_same(stacked[i], solve(specs[i]))
 
 
+def _zf_spec(seed, **kw):
+    """A zf-normalized instance on 4 x 16 blocks serving 2 users."""
+    channel, symbols = montecarlo.draw_instance(4, 2, 16, "qpsk",
+                                                "zf-normalized", seed, seed + 1)
+    return ProblemSpec(channel=channel, symbols=symbols,
+                       reference=chirp_reference(4, 16), **kw)
+
+
 _certifying = st.fixed_dictionaries({
     "seed": st.integers(0, 10_000),
     "epsilon": st.sampled_from((1.5, 2.0)),
@@ -365,10 +373,10 @@ _budget_running = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(certifying=st.lists(_certifying, min_size=1, max_size=6),
        budget_running=st.lists(_budget_running, min_size=1, max_size=3),
-       pinned=st.integers(0, 2), max_iterations=st.integers(60, 220),
+       pinned=st.integers(0, 2), max_iterations=st.integers(30, 220),
        order=st.randoms(use_true_random=False))
 def test_rows_that_leave_the_stack_match_their_single_solves(
         certifying, budget_running, pinned, max_iterations, order):
@@ -378,13 +386,9 @@ def test_rows_that_leave_the_stack_match_their_single_solves(
     # still run, the running rows move to a smaller stack, and again
     # each time that holds of the smaller stack
     def design(row, **kw):
-        channel, symbols = montecarlo.draw_instance(
-            4, 2, 16, "qpsk", "zf-normalized", row["seed"], row["seed"] + 1)
-        return ProblemSpec(channel=channel, symbols=symbols,
-                           reference=chirp_reference(4, 16),
-                           epsilon=row["epsilon"],
-                           rho_schedule=row["rho_schedule"],
-                           max_iterations=max_iterations, **kw)
+        return _zf_spec(row["seed"], epsilon=row["epsilon"],
+                        rho_schedule=row["rho_schedule"],
+                        max_iterations=max_iterations, **kw)
 
     specs = ([design(row, eta=3.0) for row in certifying]
              + [design(row, eta=1.0, rho=row["rho"])
@@ -408,6 +412,21 @@ def test_rows_that_leave_the_stack_match_their_single_solves(
     assert cuts and all(0 < kept <= size // 2 for size, kept in cuts)
     for whole, single in zip(stacked, alone):
         _assert_same(whole, single)
+
+
+def test_a_cut_at_the_budget_still_ends_the_rows_that_run_on():
+    # the certifying row stops at the last iteration of the budget, which
+    # leaves half the stack running: the cut there must not skip the end
+    # of the row that runs the whole budget
+    stopping = _zf_spec(0, epsilon=1.5, eta=3.0)
+    budget = solve(stopping).iterations_run
+    assert budget < stopping.max_iterations
+    specs = [replace(stopping, max_iterations=budget),
+             _zf_spec(2, epsilon=1.0, eta=1.0, max_iterations=budget)]
+    stacked = solve(specs)
+    assert [r.iterations_run for r in stacked] == [budget, budget]
+    for whole, spec in zip(stacked, specs):
+        _assert_same(whole, solve(spec))
 
 
 def test_single_spec_gives_a_result_and_a_list_gives_a_list():
