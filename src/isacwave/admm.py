@@ -552,9 +552,9 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
 
 def _advance(stack: _Stack, start: int, record: tuple) -> int:
     """Iterate ``stack`` from iteration ``start`` and return the iteration
-    reached: the budget's end, where every running row ends, the check
-    at which the last running row stopped, or the check after which at
-    most _COMPACT_SHARE of the stack's rows still run.
+    reached: the budget's end, where every running row ends, or the
+    check after which at most _COMPACT_SHARE of the stack's rows still
+    run, none if the last one stopped there.
 
     Each row's residual norms, and its end, go to its caller's row in
     ``record``.  The stack's rho, checked, running, duals and pulls are
@@ -650,8 +650,6 @@ def _advance(stack: _Stack, start: int, record: tuple) -> int:
                 if stopped.any():
                     end(stopped)
                     running &= ~stopped
-                    if not running.any():
-                        break
                     shrink = (np.count_nonzero(running)
                               <= _COMPACT_SHARE * n_rows)
         if iteration % _RHO_CHECK_EVERY == 0:

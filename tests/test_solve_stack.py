@@ -354,8 +354,8 @@ def test_a_stack_of_chunk_size_is_its_rows_solved_apart():
 
 def _zf_spec(seed, **kw):
     """A zf-normalized instance on 4 x 16 blocks serving 2 users."""
-    channel, symbols = montecarlo.draw_instance(4, 2, 16, "qpsk",
-                                                "zf-normalized", seed, seed + 1)
+    channel, symbols = montecarlo.draw_instance(
+        4, 2, 16, "qpsk", "zf-normalized", seed, seed + 1)
     return ProblemSpec(channel=channel, symbols=symbols,
                        reference=chirp_reference(4, 16), **kw)
 
