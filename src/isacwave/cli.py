@@ -358,8 +358,18 @@ def cmd_experiment(command: str, cfg: dict, out_dir: str, threads: int):
     return EXIT_OK, [name, meta_name]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that exits 1 on a malformed command line, as on
+    any bad argument: argparse's own 2 is the code of an infeasible
+    design."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="isacwave",
         description="Design chirp-similar PAPR-capped transmit blocks and "
                     "reproduce the PAPR/rate/SER experiment tables.",

@@ -15,9 +15,13 @@ workers inherit it instead of each importing it.  All randomness
 flows through per-trial streams keyed by (base_seed, trial, purpose),
 and a stacked design does not depend on its neighbours, so a table is
 bitwise reproducible and invariant to the number of worker processes.
-A key maps exactly to the stream of numpy's ``SeedSequence(key)``; the
-streams of a chunk of trials are derived together, in one vectorised
-pass of SeedSequence's hash, not one SeedSequence per stream.
+A noise key maps exactly to the stream of numpy's
+``default_rng(SeedSequence(key))``.  A channel or symbol key is hashed
+twice: it maps to ``default_rng(seed)`` with the one-int seed
+``int(SeedSequence(key).generate_state(1, np.uint64)[0])``, which
+default_rng hashes again.  The streams of a chunk of trials are derived
+together, in one vectorised pass of SeedSequence's hash, not one
+SeedSequence per stream.
 
 SNR convention.  With "zf-normalized" (the default) each trial rescales
 the drawn channel so the zero-forcing block has exactly unit energy.
@@ -78,7 +82,7 @@ _GAMMA_GRID_DB = np.linspace(0.0, 10.0, 201)
 # amortises numpy's per-call overhead over its rows, and the cap bounds
 # the memory a sweep holds at once.  256 was chosen before the fused
 # iteration; on 4 x 16 blocks 64 rows now measure 7-15% cheaper per row
-# (3.3-3.8 against 3.9-4.1 us per row-iteration, ROADMAP item 3), so
+# (3.3-3.8 against 3.9-4.1 us per row-iteration, ROADMAP item 2), so
 # the value awaits re-tuning there.
 _CHUNK_ROWS = 256
 
@@ -192,13 +196,16 @@ def _metadata(cfg: ExperimentConfig, **extra) -> dict:
 
 # --- per-trial streams -------------------------------------------------------
 #
-# A stream key, a tuple of non-negative ints, names the generator
-# np.random.default_rng(np.random.SeedSequence(key)).  numpy derives it
-# with O'Neill's seed_seq hash (PCG, HMC-CS-2014-0905): the key's uint32
-# words are mixed into a pool of four words, the pool is hashed out into
-# PCG64's initial state and stream id, and PCG64 seeds itself from those
-# with two steps of its LCG.  The hash is fixed uint32 arithmetic, so it
-# runs here over a whole chunk of keys at once and gives the same bits.
+# A stream key is a tuple of non-negative ints.  A noise key names the
+# generator np.random.default_rng(np.random.SeedSequence(key)); a channel
+# or symbol key names the one-int seed that SeedSequence(key) generates,
+# which the draw hands to default_rng.  numpy derives a generator from
+# a SeedSequence with O'Neill's seed_seq hash (PCG, HMC-CS-2014-0905):
+# the key's uint32 words are mixed into a pool of four words, the pool is
+# hashed out into PCG64's initial state and stream id, and PCG64 seeds
+# itself from those with two steps of its LCG.  The hash is fixed uint32
+# arithmetic, so it runs here over a whole chunk of keys at once and
+# gives the same bits.
 
 _POOL_SIZE = 4
 _XSHIFT = 16
@@ -346,7 +353,14 @@ def draw_instance(n_antennas: int, k_users: int, n_samples: int,
 
 
 def _trial_instances(cfg: ExperimentConfig, trials) -> list:
-    """The instance of each trial, on that trial's streams."""
+    """The instance of each trial, on that trial's streams.
+
+    The channel and the symbols of trial t are drawn from
+    ``default_rng(seed)`` at the one-int seed
+    ``int(SeedSequence((base_seed, t, purpose)).generate_state(1,
+    np.uint64)[0])`` of purposes 1 and 2; default_rng hashes that seed
+    into a SeedSequence again.
+    """
     seeds = _stream_seeds([(cfg.base_seed, trial, purpose) for trial in trials
                            for purpose in (_PURPOSE_CHANNEL,
                                            _PURPOSE_SYMBOLS)])
@@ -358,20 +372,20 @@ def _trial_instances(cfg: ExperimentConfig, trials) -> list:
     ]
 
 
-def _solve_trials(cfg: ExperimentConfig, grid, trials,
-                  early_stop: bool = False) -> list:
+def _solve_trials(cfg: ExperimentConfig, grid, early_stop: bool, measure,
+                  trials) -> list:
     """Draw a chunk of trials once and design each at every entry of
     ``grid``, a sequence of (epsilon, eta, rho), all as one stack.
 
     Every design keeps its rho_grid entry as its penalty weight for the
     whole solve.  With ``early_stop`` a design ends once it is feasible
     and certified optimal; without it every design runs the m_iter
-    budget.  Returns (channel, symbols, SolveResult) per trial and grid
-    entry, trial by trial and, within a trial, in grid order.
+    budget.  Returns, per trial, ``measure(channel, symbols,
+    SolveResult)`` of its design at each grid entry, in grid order.
     """
     instances = _trial_instances(cfg, trials)
     reference = chirp_reference(cfg.n_antennas, cfg.n_samples)
-    results = solve([
+    results = iter(solve([
         ProblemSpec(
             channel=channel,
             symbols=symbols,
@@ -388,10 +402,9 @@ def _solve_trials(cfg: ExperimentConfig, grid, trials,
         )
         for channel, symbols in instances
         for epsilon, eta, rho in grid
-    ])
-    rows = [instance for instance in instances for _ in grid]
-    return [(channel, symbols, result)
-            for (channel, symbols), result in zip(rows, results)]
+    ]))
+    return [[measure(channel, symbols, next(results)) for _ in grid]
+            for channel, symbols in instances]
 
 
 def _worker_count(threads) -> int:
@@ -471,13 +484,8 @@ def _labelled(pairs) -> dict:
 
 # --- experiment 1: PAPR CCDF over (rho, eta) --------------------------------
 
-def _ccdf_trials(cfg: ExperimentConfig, grid, trials) -> list:
-    """Per trial, the PAPR of its design at every grid entry."""
-    # the experiment compares penalty weights at one iteration budget
-    paprs = [kpi.papr_db(result.waveform.vec)
-             for _, _, result in _solve_trials(cfg, grid, trials,
-                                               early_stop=False)]
-    return [paprs[i:i + len(grid)] for i in range(0, len(paprs), len(grid))]
+def _papr_db(channel, symbols, result) -> float:
+    return kpi.papr_db(result.waveform.vec)
 
 
 def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
@@ -490,7 +498,8 @@ def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     grid = _labelled((f"rho={rho:g},eta={10.0 * math.log10(eta):g}dB",
                       (epsilon, eta, rho))
                      for rho in cfg.rho_grid for eta in cfg.eta_grid)
-    fn = partial(_ccdf_trials, cfg, list(grid.values()))
+    # the experiment compares penalty weights at one iteration budget
+    fn = partial(_solve_trials, cfg, list(grid.values()), False, _papr_db)
     samples = np.array(_map_trials(fn, range(cfg.n_trials), threads,
                                    len(grid)))
     series = {label: kpi.ccdf(samples[:, j], _GAMMA_GRID_DB)
@@ -505,19 +514,14 @@ def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
 
 # --- experiment 2: per-user rate over (epsilon, eta) ------------------------
 
-def _rate_from_block(channel, x, symbols, noise_variance: float) -> float:
-    waveform = unvec(np.asarray(x), channel.n_antennas)
-    sinr = kpi.sinr_per_user(channel, waveform, symbols, noise_variance)
+def _rate_from_block(channel, block, symbols, noise_variance: float) -> float:
+    sinr = kpi.sinr_per_user(channel, block, symbols, noise_variance)
     return float(np.mean(np.log2(1.0 + sinr)))
 
 
-def _sumrate_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
-                    rho: float, noise_variance: float, trials) -> list:
-    return [_rate_from_block(channel, result.waveform.vec, symbols,
-                             noise_variance)
-            for channel, symbols, result
-            in _solve_trials(cfg, [(epsilon, eta, rho)], trials,
-                             early_stop=True)]
+def _designed_rate(noise_variance: float, channel, symbols, result) -> float:
+    return _rate_from_block(channel, result.waveform.entries, symbols,
+                            noise_variance)
 
 
 def _zero_mui_rate_trials(cfg: ExperimentConfig, noise_variance: float,
@@ -525,7 +529,7 @@ def _zero_mui_rate_trials(cfg: ExperimentConfig, noise_variance: float,
     rates = []
     for channel, symbols in _trial_instances(cfg, trials):
         target = zero_forcing_target(channel, symbols)
-        target = target / np.linalg.norm(target)
+        target = unvec(target / np.linalg.norm(target), cfg.n_antennas)
         rates.append(_rate_from_block(channel, target, symbols,
                                       noise_variance))
     return rates
@@ -555,10 +559,12 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     for label, eta in grid.items():
         rates = np.empty(axis.size)
         errs = np.empty(axis.size)
+        # one pool per grid point: perfbench pins 16 pool starts per
+        # request until its revision (ROADMAP item 1)
         for j, epsilon in enumerate(axis):
-            fn = partial(_sumrate_trials, cfg, float(epsilon), eta, rho,
-                         noise_variance)
-            per_trial = _map_trials(fn, trials, threads)
+            fn = partial(_solve_trials, cfg, [(float(epsilon), eta, rho)],
+                         True, partial(_designed_rate, noise_variance))
+            per_trial = [rate for [rate] in _map_trials(fn, trials, threads)]
             rates[j] = np.mean(per_trial)
             errs[j] = _sem(per_trial)
         series[label] = rates
@@ -616,14 +622,17 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
     return counts
 
 
+def _received_block(channel, symbols, result) -> tuple:
+    """The noiseless received block H X and the sent symbols S."""
+    return channel.matrix @ result.waveform.entries, symbols.symbols
+
+
 def _ser_designed_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
                          rho: float, sigma2s: tuple, open_points: np.ndarray,
                          trials) -> np.ndarray:
-    solved = _solve_trials(cfg, [(epsilon, eta, rho)], trials,
-                           early_stop=True)
-    received = np.stack([channel.matrix @ result.waveform.entries
-                         for channel, _, result in solved])
-    sent = np.stack([symbols.symbols for _, symbols, _ in solved])
+    rows = _solve_trials(cfg, [(epsilon, eta, rho)], True, _received_block,
+                         trials)
+    received, sent = map(np.stack, zip(*(block for [block] in rows)))
     return _ser_counts(cfg, sigma2s, open_points, trials, received, sent,
                        _SERIES_DESIGNED)
 

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -251,6 +253,48 @@ class TestConfigValidation:
         if expected == cli.EXIT_BAD_CONFIG:
             assert err.startswith("isacwave: config error at ")
         assert named in err
+
+
+# what the installed console script runs
+_SCRIPT = "import sys; from isacwave.cli import main; sys.exit(main())"
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("how", ["main", "script"])
+    @pytest.mark.parametrize("args, named", [
+        (["bogus"], "bogus"),
+        ([], "command"),
+        (["ccdf", "--bogus"], "--bogus"),
+        (["ccdf", "--threads", "abc"], "--threads"),
+        (["ccdf", "--seed", "abc"], "--seed"),
+    ], ids=["unknown-command", "missing-command", "unknown-flag",
+            "threads-not-int", "seed-not-int"])
+    def test_malformed_command_line_exits_1(self, tmp_path, capsys, how,
+                                            args, named):
+        # argparse's own code would be 2, the code of an infeasible design
+        argv = [*args, "--config", _write(tmp_path, _experiment_config()),
+                "--out", str(tmp_path / "out")]
+        if how == "main":
+            with pytest.raises(SystemExit) as exited:
+                cli.main(argv)
+            code, err = exited.value.code, capsys.readouterr().err
+        else:
+            env = dict(os.environ,
+                       PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+            done = subprocess.run([sys.executable, "-c", _SCRIPT, *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            code, err = done.returncode, done.stderr
+        assert code == cli.EXIT_BAD_CONFIG
+        message = err[err.index("isacwave: error: "):]
+        assert named in message
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["--help"])
+        assert exited.value.code == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: isacwave")
 
 
 class TestOverrides:

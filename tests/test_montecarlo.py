@@ -446,6 +446,28 @@ class TestRunSer:
         assert a.metadata["series_stats"] == b.metadata["series_stats"]
 
 
+class TestStreamLayout:
+    @pytest.mark.parametrize("base_seed", [20260818, 2 ** 32 + 5])
+    def test_designed_draws_are_seeded_twice(self, base_seed):
+        # a channel or symbol key names a one-int seed that default_rng
+        # hashes again, not the stream of SeedSequence(key) itself
+        cfg = _cfg(base_seed=base_seed, snr_convention="raw")
+        trials = (0, 5)
+        for trial, (channel, symbols) in zip(
+                trials, montecarlo._trial_instances(cfg, trials)):
+            keys = [(base_seed, trial, purpose) for purpose in (1, 2)]
+            seeds = [int(np.random.SeedSequence(key)
+                         .generate_state(1, np.uint64)[0]) for key in keys]
+            np.testing.assert_array_equal(
+                channel.matrix, draw_channel(2, 4, rng_seed=seeds[0]).matrix)
+            np.testing.assert_array_equal(
+                symbols.symbols,
+                draw_symbols(2, 8, "qpsk", rng_seed=seeds[1]).symbols)
+            one_stage = np.random.default_rng(np.random.SeedSequence(keys[0]))
+            assert not np.array_equal(
+                channel.matrix, draw_channel(2, 4, rng_seed=one_stage).matrix)
+
+
 class TestSnrConventions:
     def test_normalized_convention_calibrates_received_power(self):
         # under the default convention the zero-forcing block carries unit
