@@ -36,10 +36,10 @@ Stacks.  :func:`solve` advances independent instances as the rows of one
 the trailing axis with one value of rho, epsilon and eta per row, and
 every norm is a per-row dot product, so a row's iterates are bitwise
 the same whatever rows share its stack.  A row that ends early has its
-iterate and iteration count recorded, and it leaves the stack once at
-most half of the stack's rows still run (_COMPACT_SHARE): the running
-rows are then copied into a smaller stack, which keeps a map to the
-caller's rows.  Until then an ended row is advanced with the others and
+SolveResult built at its end, and it leaves the stack once at most half
+of the stack's rows still run (_COMPACT_SHARE): the running rows are
+then copied into a smaller stack, which keeps a map to the caller's
+rows.  Until then an ended row is advanced with the others and
 its later values are never read.  An epsilon = 0 row ends at iteration
 0 with the reference as its iterate.
 
@@ -418,12 +418,14 @@ def solve(
     """Design one instance, or a stack of independent instances at once.
 
     ``solve(spec)`` returns one SolveResult; ``solve([spec, ...])``
-    returns the list of SolveResults in the order given.  The instances
-    of a stack must share N, L and max_iterations; each keeps its own
-    epsilon, eta, rho, rho_schedule, feasibility_tolerance and
-    early_stop, and its result does not depend on the other rows.  Rows
-    that hold the same channel and symbol objects, as a ccdf trial's
-    grid points do, share one zero-forcing target.
+    returns the list of SolveResults in the order given, and [] for an
+    empty sequence.  Both run :func:`_iterate`, a single spec as the
+    stack of one.  The instances of a stack must share N, L and
+    max_iterations; each keeps its own epsilon, eta, rho, rho_schedule,
+    feasibility_tolerance and early_stop, and its result does not depend
+    on the other rows.  Rows that hold the same channel and symbol
+    objects, as a ccdf trial's grid points do, share one zero-forcing
+    target.
 
     Each instance runs the splitting for max_iterations, or with
     early_stop until it is feasible and certified optimal (see the
@@ -433,25 +435,7 @@ def solve(
     feasible by ProblemSpec validation.
     """
     single = isinstance(spec, ProblemSpec)
-    specs = [spec] if single else list(spec)
-    shapes = {(s.reference.n_antennas, s.reference.n_samples,
-               s.max_iterations) for s in specs}
-    if len(shapes) > 1:
-        raise ValueError(
-            "stacked specs must share n_antennas, n_samples and "
-            "max_iterations"
-        )
-    if not specs:
-        return []
-    targets = {}
-    for s in specs:
-        key = (id(s.channel), id(s.symbols))
-        if key not in targets:
-            targets[key] = lift(zero_forcing_target(s.channel, s.symbols))
-    x_bar_comm = np.array([targets[id(s.channel), id(s.symbols)]
-                           for s in specs])
-    results = [_result(s.reference.n_antennas, *run)
-               for s, run in zip(specs, _iterate(specs, x_bar_comm))]
+    results = _iterate([spec] if single else list(spec))
     return results[0] if single else results
 
 
@@ -492,39 +476,72 @@ def _objective_and_bound(x_bar, v, w, x_bar_comm, x_bar_0, epsilon, eta):
             lower_bound(v, w, x_bar_comm, x_bar_0, epsilon, eta))
 
 
-def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
-    """Advance a stack of instances, one row each, to their ends.
+def _iterate(specs: list) -> list:
+    """The SolveResults of a stack of instances, one row each, in the
+    order given; an empty stack gives [].
 
-    A row ends after max_iterations, earlier when it stops certified, or
-    at iteration 0 when epsilon = 0 pins it to the reference.  Its
-    iterate, duals and iteration count are recorded at its end.  An
-    ended row leaves the stack once at most _COMPACT_SHARE of the rows
-    in it still run: the running rows are then copied into buffers of
-    their own size, and a row map sends what they record to the caller's
-    rows.  Until then the ended row goes on being advanced with the
-    stack, but its later values are never read.  Returns, per row in the
-    caller's order, (x_bar, objective, lower bound and the three
-    violations at its end, residual history of shape (3, iterations
-    run), rho trajectory).
+    The specs must share N, L and max_iterations.  Rows that hold the
+    same channel and symbol objects share one zero-forcing target.  A
+    row ends after max_iterations, earlier when it stops certified, or
+    at iteration 0 when epsilon = 0 pins it to the reference, and its
+    SolveResult is built at its end from its iterate, duals, residual
+    norms and rho trajectory.  An ended row leaves the stack once at
+    most _COMPACT_SHARE of the rows in it still run: the running rows
+    are then copied into buffers of their own size, which keep a map to
+    the caller's rows.  Until then the ended row goes on being advanced
+    with the stack, but its later values are never read.
     """
+    if len({(s.reference.n_antennas, s.reference.n_samples,
+             s.max_iterations) for s in specs}) > 1:
+        raise ValueError(
+            "stacked specs must share n_antennas, n_samples and "
+            "max_iterations"
+        )
+    if not specs:
+        return []
+    keys = [(id(s.channel), id(s.symbols)) for s in specs]
+    targets = {key: lift(zero_forcing_target(s.channel, s.symbols))
+               for key, s in dict(zip(keys, specs)).items()}
+    x_bar_comm = np.array([targets[key] for key in keys])
     n_rows = len(specs)
-    n_total = specs[0].n_total
-    x_bar_0 = np.array([s.reference.lifted for s in specs])
+    n_antennas, n_total = specs[0].reference.n_antennas, specs[0].n_total
     epsilon = np.array([s.epsilon for s in specs], dtype=float)
     eta = np.array([s.eta for s in specs], dtype=float)
     running = epsilon != 0
     n_iterations = specs[0].max_iterations if running.any() else 0
-    # what each row records, in the caller's order: per iteration its
-    # three residual norms, and at its end its iterate, the duals the
-    # bound reads (v and w) and its iteration count; a pinned row keeps
-    # the reference and zero duals
-    record = (np.empty((n_iterations, 3, n_rows)), x_bar_0.copy(),
-              np.zeros((2, n_rows, 2 * n_total)), np.zeros(n_rows, dtype=int),
-              [[(0, s.rho)] for s in specs])
+    # in the caller's order: per iteration each row's three residual
+    # norms, and per row its rho change points and, once ended, its result
+    norms = np.empty((n_iterations, 3, n_rows))
+    trajectories = [[(0, s.rho)] for s in specs]
+    results = [None] * n_rows
+
+    def end(stack: _Stack, ending: np.ndarray, x_bar: np.ndarray,
+            iteration: int) -> None:
+        # the results of the rows of ``stack`` that the mask ``ending``
+        # picks, ended at ``iteration`` on x_bar and the stack's duals
+        x_bar, x_bar_0 = x_bar[ending], stack.pulls[0, ending]
+        epsilon, eta = stack.epsilon[ending], stack.eta[ending]
+        objective, bound = _objective_and_bound(
+            x_bar, *stack.duals[2:, ending], stack.x_bar_comm[ending],
+            x_bar_0, epsilon, eta)
+        violations = _violations(x_bar, x_bar_0, epsilon, eta)
+        for j, i in enumerate(stack.rows[ending]):
+            results[i] = SolveResult(
+                waveform=Waveform(unvec(unlift(x_bar[j]), n_antennas)),
+                objective=float(objective[j]),
+                lower_bound=float(bound[j]),
+                constraint_violations=ConstraintViolations(
+                    *map(float, violations[:, j])),
+                residual_history=ResidualHistory(
+                    *norms[:iteration, :, i].T.copy()),
+                iterations_run=iteration,
+                rho_trajectory=tuple(trajectories[i]),
+            )
+
     duals = np.zeros((4, n_rows, 2 * n_total))
     duals[0] = 2.0 * x_bar_comm
     pulls = np.zeros((4, n_rows, 2 * n_total))
-    pulls[0] = x_bar_0
+    pulls[0] = [s.reference.lifted for s in specs]
     stack = _Stack(
         rows=np.arange(n_rows), x_bar_comm=x_bar_comm, epsilon=epsilon,
         eta=eta,
@@ -534,40 +551,38 @@ def _iterate(specs: list, x_bar_comm: np.ndarray) -> list:
         rho=np.array([s.rho for s in specs], dtype=float),
         checked=np.full(n_rows, np.inf), running=running, duals=duals,
         pulls=pulls)
+    # a pinned row ends at once, on the reference with zero duals
+    end(stack, ~running, pulls[0], 0)
     iteration = 0
     while iteration < n_iterations and stack.running.any():
         if (np.count_nonzero(stack.running)
                 <= _COMPACT_SHARE * stack.running.size):
             stack = stack.keep(stack.running)
-        iteration = _advance(stack, iteration, record)
-
-    norms, x_bar_end, v_w_end, ends, trajectories = record
-    objective, bound = _objective_and_bound(x_bar_end, *v_w_end, x_bar_comm,
-                                            x_bar_0, epsilon, eta)
-    violations = _violations(x_bar_end, x_bar_0, epsilon, eta)
-    return [(x_bar_end[i], objective[i], bound[i], violations[:, i],
-             norms[:ran, :, i].T.copy(), trajectories[i])
-            for i, ran in enumerate(ends)]
+        iteration = _advance(stack, iteration, norms, trajectories, end)
+    return results
 
 
-def _advance(stack: _Stack, start: int, record: tuple) -> int:
+def _advance(stack: _Stack, start: int, norms: np.ndarray,
+             trajectories: list, record) -> int:
     """Iterate ``stack`` from iteration ``start`` and return the iteration
     reached: the budget's end, where every running row ends, or the
     check after which at most _COMPACT_SHARE of the stack's rows still
     run, none if the last one stopped there.
 
-    Each row's residual norms, and its end, go to its caller's row in
-    ``record``.  The stack's rho, checked, running, duals and pulls are
-    updated in place.
+    Each row's residual norms go to its caller's row in ``norms``, and
+    its rho change points to its caller's entry of ``trajectories``.
+    Rows that end are passed to ``record``, with the stack, the mask
+    that picks them, their iterates and the iteration.  The stack's rho,
+    checked, running, duals and pulls are updated in place.
     """
     (rows, x_bar_comm, epsilon, eta, tolerance, early_stop, adaptive, rho,
      checked, running, duals, pulls) = stack
-    norms, x_bar_end, v_w_end, ends, trajectories = record
     n_rows, width = duals.shape[1:]
     n_total = width // 2
     stops_early = bool(early_stop.any())
     # a stack of all the caller's rows writes its norms in place; a cut
-    # one into its own buffer, sent to the caller's rows on return
+    # one into its own buffer, sent to the caller's rows as rows end and
+    # on return
     cut = n_rows < norms.shape[2]
     history = (np.empty((norms.shape[0] - start, 3, n_rows)) if cut
                else norms[start:])
@@ -597,10 +612,10 @@ def _advance(stack: _Stack, start: int, record: tuple) -> int:
     iteration = start
 
     def end(ending):
-        caller = rows[ending]
-        x_bar_end[caller] = x_bar[ending]
-        v_w_end[:, caller] = u_v_w[1:, ending]
-        ends[caller] = iteration
+        if cut:
+            norms[start:iteration, :, rows[ending]] = (
+                history[:iteration - start, :, ending])
+        record(stack, ending, x_bar, iteration)
 
     for m in range(start, norms.shape[0]):
         # each phase is one call over the sphere, the ball and the discs,
@@ -669,18 +684,3 @@ def _advance(stack: _Stack, start: int, record: tuple) -> int:
     if cut:
         norms[start:iteration, :, rows] = history[:iteration - start]
     return iteration
-
-
-def _result(n_antennas: int, x_bar: np.ndarray, objective: float,
-            bound: float, violations: np.ndarray, history: np.ndarray,
-            trajectory: list) -> SolveResult:
-    """The SolveResult of one row from its :func:`_iterate` entry."""
-    return SolveResult(
-        waveform=Waveform(unvec(unlift(x_bar), n_antennas)),
-        objective=float(objective),
-        lower_bound=float(bound),
-        constraint_violations=ConstraintViolations(*map(float, violations)),
-        residual_history=ResidualHistory(*history),
-        iterations_run=history.shape[1],
-        rho_trajectory=tuple(trajectory),
-    )

@@ -42,7 +42,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 from . import __version__, kpi
@@ -239,10 +238,12 @@ def _check_out_dir(path: str) -> None:
 
 def _atomic_write(path: str, data: str) -> None:
     # the output directory appears with the first output, so a run that
-    # fails before writing anything leaves no directory behind
+    # fails before writing anything leaves no directory behind.  The temp
+    # file is made with mode 0o666 less the umask, which os.replace keeps
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(data)
@@ -396,7 +397,7 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     section = "design" if args.command == "design" else "experiment"
     try:
         if not args.config:
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
                                            args.threads)
             run_seed = resolved["base_seed"]
         _write_manifest(args.out, args.command, {section: resolved},
-                        run_seed, time.time() - started, outputs)
+                        run_seed, time.perf_counter() - started, outputs)
         return code
     except SingularChannelError as exc:
         print(f"isacwave: {exc}", file=sys.stderr)

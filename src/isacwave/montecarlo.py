@@ -96,7 +96,8 @@ class ExperimentConfig:
     ValueError before any solve: run_ccdf sweeps (rho_grid, eta_grid)
     at the one epsilon; run_sumrate sweeps (epsilon_grid, eta_grid) at
     the one rho and SNR; run_ser sweeps snr_grid_db at the one rho, eta
-    and epsilon.  run_ccdf does not read snr_grid_db.
+    and epsilon.  run_ccdf does not read snr_grid_db, and run_ser does
+    not read n_trials: its stopping rule fixes its length.
 
     eta_grid holds linear PAPR caps, as ProblemSpec.eta does; each is
     checked and clamped once, by :func:`~isacwave.admm.papr_cap`.

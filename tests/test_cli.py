@@ -1,11 +1,14 @@
 """CLI contract tests: config resolution, exit codes, output files."""
 
+import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -452,6 +455,40 @@ class TestDesignCommand:
         resolved = manifest["config"]["design"]
         assert resolved["feasibility_tolerance"] == 1e-3
         assert resolved["snr_convention"] == "raw"
+
+
+    def test_duration_ignores_a_wall_clock_step_back(self, tmp_path,
+                                                      monkeypatch):
+        # each reading of the wall clock is an hour before the last
+        readings = itertools.count(2e9, -3600.0)
+        monkeypatch.setattr(time, "time", lambda: next(readings))
+        code, out = _run(tmp_path, "design", _design_config())
+        assert code == cli.EXIT_OK
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["duration_seconds"] >= 0
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_every_output_takes_its_mode_from_the_umask(self, tmp_path,
+                                                        umask):
+        runs = []
+        previous = os.umask(umask)
+        try:
+            for command, config in (("design", _design_config()),
+                                    ("ccdf", _experiment_config())):
+                (tmp_path / command).mkdir()
+                runs.append(_run(tmp_path / command, command, config))
+        finally:
+            os.umask(previous)
+        for code, out in runs:
+            assert code == cli.EXIT_OK
+            manifest = json.load(open(os.path.join(out, "manifest.json")))
+            names = sorted(os.listdir(out))
+            assert names == sorted(manifest["outputs"] + ["manifest.json"])
+            for name in names:
+                mode = os.stat(os.path.join(out, name)).st_mode
+                assert stat.S_IMODE(mode) == 0o666 & ~umask, name
 
 
 class TestExperimentCommands:

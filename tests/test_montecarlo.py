@@ -45,6 +45,29 @@ def _cfg(eta_grid_db=None, **kw):
     return ExperimentConfig(**defaults)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Every worker pool runs in this process; the list of the
+    max_workers of every pool started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 class TestExperimentConfig:
     def test_grid_coercion_to_float_tuples(self):
         cfg = _cfg(rho_grid=[1, 2], epsilon_grid=[1])
@@ -233,37 +256,15 @@ class TestWorkerCount:
             driver(_cfg(), threads=threads)
         assert solves == []
 
-    def _pool_sizes(self, monkeypatch):
-        # the max_workers of every pool started, run in this process
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
-        return sizes
-
-    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
-        sizes = self._pool_sizes(monkeypatch)
+    def test_pool_starts_no_more_workers_than_chunks(self, pool_sizes):
         run_ccdf(_cfg(n_trials=2, m_iter=20), threads=8)
-        assert sizes == [2]
+        assert pool_sizes == [2]
 
     def test_a_ccdf_sweep_starts_one_pool_for_its_whole_grid(self,
-                                                             monkeypatch):
-        sizes = self._pool_sizes(monkeypatch)
+                                                             pool_sizes):
         run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
                       n_trials=4, m_iter=20), threads=2)
-        assert sizes == [2]
+        assert pool_sizes == [2]
 
 
     def test_forked_workers_start_with_numpy_random_imported(self):
@@ -437,10 +438,15 @@ class TestRunSer:
                              base_seed=base_seed, m_iter=5))
         assert table.metadata["series_stats"] == want
 
-    def test_deterministic_and_worker_invariant(self):
+    # one or two workers accumulate batches of 64 trials, five of 80
+    @pytest.mark.parametrize("threads", [2, 5])
+    def test_deterministic_and_worker_invariant(self, request, threads):
+        if threads > 2:
+            # run in this process: no five-process pool is started
+            request.getfixturevalue("pool_sizes")
         cfg = _cfg(snr_grid_db=(1.0, 5.0), n_trials=1, m_iter=60)
         a = run_ser(cfg, threads=1)
-        b = run_ser(cfg, threads=2)
+        b = run_ser(cfg, threads=threads)
         for label in a.series:
             np.testing.assert_array_equal(a.series[label], b.series[label])
         assert a.metadata["series_stats"] == b.metadata["series_stats"]
