@@ -39,9 +39,11 @@ the same whatever rows share its stack.  A row that ends early has its
 SolveResult built at its end, and it leaves the stack once at most half
 of the stack's rows still run (_COMPACT_SHARE): the running rows are
 then copied into a smaller stack, which keeps a map to the caller's
-rows.  Until then an ended row is advanced with the others and
-its later values are never read.  An epsilon = 0 row ends at iteration
-0 with the reference as its iterate.
+rows.  Until then an ended row is advanced with the others and its
+later values are never read.  The stack holds each row's residual
+norms from iteration 0 on, so a row's history moves with it when the
+stack is cut.  An epsilon = 0 row ends at iteration 0 with the
+reference as its iterate.
 
 The loop keeps its state splitting-major, in two (4, T, 2*N*L) buffers
 [2c, u, v, w] and [x0, alpha, beta, gamma], with w and gamma in the slot
@@ -459,6 +461,9 @@ class _Stack(NamedTuple):
     # sum of `pulls`
     duals: np.ndarray  # [2c, u, v, w]
     pulls: np.ndarray  # [x0, alpha, beta, gamma]
+    # per iteration, each row's energy, similarity and PAPR residual
+    # norms from iteration 0 on, so a row's history moves with it
+    history: np.ndarray  # (max_iterations, T, 3)
 
     def keep(self, selected: np.ndarray) -> _Stack:
         """The stack cut to the rows ``selected`` picks, in new arrays: a
@@ -485,11 +490,13 @@ def _iterate(specs: list) -> list:
     row ends after max_iterations, earlier when it stops certified, or
     at iteration 0 when epsilon = 0 pins it to the reference, and its
     SolveResult is built at its end from its iterate, duals, residual
-    norms and rho trajectory.  An ended row leaves the stack once at
+    history and rho trajectory.  An ended row leaves the stack once at
     most _COMPACT_SHARE of the rows in it still run: the running rows
     are then copied into buffers of their own size, which keep a map to
-    the caller's rows.  Until then the ended row goes on being advanced
-    with the stack, but its later values are never read.
+    the caller's rows and carry each row's residual history from
+    iteration 0.  Until then the ended row goes on being advanced with
+    the stack, but its later values are never read.  Only the rho
+    trajectories stay in the caller's order.
     """
     if len({(s.reference.n_antennas, s.reference.n_samples,
              s.max_iterations) for s in specs}) > 1:
@@ -505,13 +512,12 @@ def _iterate(specs: list) -> list:
     x_bar_comm = np.array([targets[key] for key in keys])
     n_rows = len(specs)
     n_antennas, n_total = specs[0].reference.n_antennas, specs[0].n_total
+    max_iterations = specs[0].max_iterations
     epsilon = np.array([s.epsilon for s in specs], dtype=float)
     eta = np.array([s.eta for s in specs], dtype=float)
     running = epsilon != 0
-    n_iterations = specs[0].max_iterations if running.any() else 0
-    # in the caller's order: per iteration each row's three residual
-    # norms, and per row its rho change points and, once ended, its result
-    norms = np.empty((n_iterations, 3, n_rows))
+    # in the caller's order: per row its rho change points and, once
+    # ended, its result
     trajectories = [[(0, s.rho)] for s in specs]
     results = [None] * n_rows
 
@@ -525,6 +531,7 @@ def _iterate(specs: list) -> list:
             x_bar, *stack.duals[2:, ending], stack.x_bar_comm[ending],
             x_bar_0, epsilon, eta)
         violations = _violations(x_bar, x_bar_0, epsilon, eta)
+        history = stack.history[:iteration, ending]
         for j, i in enumerate(stack.rows[ending]):
             results[i] = SolveResult(
                 waveform=Waveform(unvec(unlift(x_bar[j]), n_antennas)),
@@ -532,8 +539,7 @@ def _iterate(specs: list) -> list:
                 lower_bound=float(bound[j]),
                 constraint_violations=ConstraintViolations(
                     *map(float, violations[:, j])),
-                residual_history=ResidualHistory(
-                    *norms[:iteration, :, i].T.copy()),
+                residual_history=ResidualHistory(*history[:, j].T.copy()),
                 iterations_run=iteration,
                 rho_trajectory=tuple(trajectories[i]),
             )
@@ -550,42 +556,35 @@ def _iterate(specs: list) -> list:
         adaptive=np.array([s.rho_schedule == "adaptive" for s in specs]),
         rho=np.array([s.rho for s in specs], dtype=float),
         checked=np.full(n_rows, np.inf), running=running, duals=duals,
-        pulls=pulls)
+        pulls=pulls, history=np.empty((max_iterations, n_rows, 3)))
     # a pinned row ends at once, on the reference with zero duals
     end(stack, ~running, pulls[0], 0)
     iteration = 0
-    while iteration < n_iterations and stack.running.any():
+    while iteration < max_iterations and stack.running.any():
         if (np.count_nonzero(stack.running)
                 <= _COMPACT_SHARE * stack.running.size):
             stack = stack.keep(stack.running)
-        iteration = _advance(stack, iteration, norms, trajectories, end)
+        iteration = _advance(stack, iteration, trajectories, end)
     return results
 
 
-def _advance(stack: _Stack, start: int, norms: np.ndarray,
-             trajectories: list, record) -> int:
+def _advance(stack: _Stack, start: int, trajectories: list, record) -> int:
     """Iterate ``stack`` from iteration ``start`` and return the iteration
     reached: the budget's end, where every running row ends, or the
     check after which at most _COMPACT_SHARE of the stack's rows still
     run, none if the last one stopped there.
 
-    Each row's residual norms go to its caller's row in ``norms``, and
+    Each row's residual norms go to its row of the stack's history, and
     its rho change points to its caller's entry of ``trajectories``.
     Rows that end are passed to ``record``, with the stack, the mask
     that picks them, their iterates and the iteration.  The stack's rho,
-    checked, running, duals and pulls are updated in place.
+    checked, running, duals, pulls and history are updated in place.
     """
     (rows, x_bar_comm, epsilon, eta, tolerance, early_stop, adaptive, rho,
-     checked, running, duals, pulls) = stack
+     checked, running, duals, pulls, history) = stack
     n_rows, width = duals.shape[1:]
     n_total = width // 2
     stops_early = bool(early_stop.any())
-    # a stack of all the caller's rows writes its norms in place; a cut
-    # one into its own buffer, sent to the caller's rows as rows end and
-    # on return
-    cut = n_rows < norms.shape[2]
-    history = (np.empty((norms.shape[0] - start, 3, n_rows)) if cut
-               else norms[start:])
     x_bar_0 = pulls[0]
     u_v_w, auxiliaries = duals[1:], pulls[1:]
     alpha, beta = pulls[1], pulls[2]
@@ -610,14 +609,7 @@ def _advance(stack: _Stack, start: int, norms: np.ndarray,
     rho_row = _per_row(rho, 1)
     denominator = 2.0 + 3.0 * rho_row
     iteration = start
-
-    def end(ending):
-        if cut:
-            norms[start:iteration, :, rows[ending]] = (
-                history[:iteration - start, :, ending])
-        record(stack, ending, x_bar, iteration)
-
-    for m in range(start, norms.shape[0]):
+    for m in range(start, len(history)):
         # each phase is one call over the sphere, the ball and the discs,
         # with every operand order of the reference step functions
         np.divide(np.subtract.reduce(duals, 0)
@@ -642,7 +634,7 @@ def _advance(stack: _Stack, start: int, norms: np.ndarray,
         scale = np.sqrt(cap / np.maximum(squares[:, 0] + squares[:, 1], cap))
         np.multiply(t_pairs, scale[:, None], out=gamma_pairs)
         np.subtract(compared, auxiliaries, out=gaps)
-        row_norms = history[m - start]
+        row_norms = history[m].T
         np.vecdot(gaps_sphere_ball, gaps_sphere_ball, out=row_norms[:2])
         # the PAPR residual is summed in pair order
         np.multiply(gaps_papr, gaps_papr, out=papr_squares_slots)
@@ -663,7 +655,7 @@ def _advance(stack: _Stack, start: int, norms: np.ndarray,
                 stopped = feasible & (_relative_gap(objective, bound)
                                       <= _CERTIFIED_GAP)
                 if stopped.any():
-                    end(stopped)
+                    record(stack, stopped, x_bar, iteration)
                     running &= ~stopped
                     shrink = (np.count_nonzero(running)
                               <= _COMPACT_SHARE * n_rows)
@@ -679,8 +671,6 @@ def _advance(stack: _Stack, start: int, norms: np.ndarray,
             np.copyto(checked, largest, where=adaptive)
         if shrink:
             break
-    if iteration == norms.shape[0]:
-        end(running)
-    if cut:
-        norms[start:iteration, :, rows] = history[:iteration - start]
+    if iteration == len(history):
+        record(stack, running, x_bar, iteration)
     return iteration

@@ -228,9 +228,11 @@ def _load_config_file(path: str, section: str) -> dict:
 
 def _check_out_dir(path: str) -> None:
     """Reject an --out that cannot become a directory before any work;
-    the directory itself is made with the first output."""
+    the directory itself is made with the first output.  The walk up
+    does not follow symlinks, so a dangling one, or one in a loop, is
+    found and rejected as not a directory."""
     existing = os.path.abspath(path)
-    while not os.path.exists(existing):
+    while not os.path.lexists(existing):
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         raise ConfigError("--out", f"{existing} is not a directory")

@@ -130,26 +130,42 @@ class TestConfigValidation:
             f"isacwave: config error at {path}: ")
         assert not out.exists()
 
-    # the file stands for --out itself or for a parent of it
-    @pytest.mark.parametrize("command,config,below", [
-        ("design", _design_config(), False),
-        ("ccdf", _experiment_config(), False),
-        ("ccdf", _experiment_config(), True),
-    ], ids=["design", "ccdf", "ccdf-below-file"])
+    # the file stands for --out itself or for a parent of it; a dangling
+    # symlink, or one in a loop, is no directory either
+    @pytest.mark.parametrize("command,config,out", [
+        ("design", _design_config(), "taken"),
+        ("ccdf", _experiment_config(), "taken"),
+        ("ccdf", _experiment_config(), "taken/run"),
+        ("design", _design_config(), "dangling"),
+        ("design", _design_config(), "loop/run"),
+    ], ids=["design", "ccdf", "ccdf-below-file", "design-dangling-link",
+            "design-below-link-loop"])
     def test_out_naming_a_file_rejected_before_any_work(
-            self, tmp_path, monkeypatch, capsys, command, config, below):
+            self, tmp_path, monkeypatch, capsys, command, config, out):
         solves = []
         monkeypatch.setattr(cli, "solve", solves.append)
         monkeypatch.setattr(montecarlo, "solve", solves.append)
         taken = tmp_path / "taken"
         taken.write_text("keep")
-        out = taken / "run" if below else taken
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere" / "x")
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
         code = cli.main([command, "--config", _write(tmp_path, config),
-                         "--out", str(out)])
+                         "--out", str(tmp_path / out)])
         assert code == cli.EXIT_BAD_CONFIG
         assert solves == []
         assert "config error at --out: " in capsys.readouterr().err
         assert taken.read_text() == "keep"
+
+    def test_out_a_symlink_to_a_directory_accepted(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        out = tmp_path / "out"
+        out.symlink_to(target)
+        code = cli.main(["design", "--config",
+                         _write(tmp_path, _design_config()),
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert (target / "waveform.json").is_file()
 
     # a bare field is a design field; "experiment." marks an experiment
     # field, run through ccdf.  Range errors come from the library, which

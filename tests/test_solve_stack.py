@@ -429,6 +429,31 @@ def test_a_cut_at_the_budget_still_ends_the_rows_that_run_on():
         _assert_same(whole, solve(spec))
 
 
+def test_a_row_that_survives_two_cuts_matches_its_single_solve():
+    # six certifying rows stop at 110, 40, 40, 90, 40 and 60 iterations;
+    # the row at the constant-modulus cap runs the whole budget.  The
+    # stop at 60 leaves three of seven rows running, the stop at 110 one
+    # of three, so that row's residual history crosses two cuts
+    specs = ([_zf_spec(seed, epsilon=(1.5, 2.0)[seed % 2], eta=3.0,
+                       max_iterations=200) for seed in range(6)]
+             + [_zf_spec(9, epsilon=1.0, eta=1.0, max_iterations=200)])
+    alone = [solve(spec) for spec in specs]
+    assert ([r.iterations_run for r in alone]
+            == [110, 40, 40, 90, 40, 60, 200])
+    cuts = []
+    keep = admm._Stack.keep
+
+    def counting_keep(stack, rows):
+        cuts.append((stack.rows.size, int(np.count_nonzero(rows))))
+        return keep(stack, rows)
+
+    with mock.patch.object(admm._Stack, "keep", counting_keep):
+        stacked = solve(specs)
+    assert cuts == [(7, 3), (3, 1)]
+    for whole, single in zip(stacked, alone):
+        _assert_same(whole, single)
+
+
 def test_single_spec_gives_a_result_and_a_list_gives_a_list():
     spec = _spec(4, 2, 16, 1, epsilon=1.0, eta=2.0, max_iterations=20)
     assert not isinstance(solve(spec), list)
