@@ -35,15 +35,17 @@ Stacks.  :func:`solve` advances independent instances as the rows of one
 (T, 2*N*L) stack; one instance is the stack T = 1.  Every step acts on
 the trailing axis with one value of rho, epsilon and eta per row, and
 every norm is a per-row dot product, so a row's iterates are bitwise
-the same whatever rows share its stack.  A row that ends early has its
-SolveResult built at its end, and it leaves the stack once at most half
-of the stack's rows still run (_COMPACT_SHARE): the running rows are
-then copied into a smaller stack, which keeps a map to the caller's
-rows.  Until then an ended row is advanced with the others and its
-later values are never read.  The stack holds each row's residual
-norms from iteration 0 on, so a row's history moves with it when the
-stack is cut.  An epsilon = 0 row ends at iteration 0 with the
-reference as its iterate.
+the same whatever rows share its stack.  The loop runs in stretches,
+each ending where some row ends: at iteration 0 for an epsilon = 0 row,
+which ends with the reference as its iterate, at a check where a row
+stops certified, or at the end of the budget.  Between stretches, and
+only there, the rows that ended get their SolveResults, and an ended
+row leaves the stack once at most half of the stack's rows still run
+(_COMPACT_SHARE): the running rows are then copied into a smaller
+stack, which keeps a map to the caller's rows.  Until then an ended row
+is advanced with the others and its later values are never read.  The
+stack holds each row's residual norms from iteration 0 on, so a row's
+history moves with it when the stack is cut.
 
 The loop keeps its state splitting-major, in two (4, T, 2*N*L) buffers
 [2c, u, v, w] and [x0, alpha, beta, gamma], with w and gamma in the slot
@@ -102,7 +104,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -342,11 +344,7 @@ class ConstraintViolations:
         return max(self.norm_gap, self.similarity_excess, self.papr_excess)
 
     def as_dict(self) -> dict:
-        return {
-            "norm_gap": self.norm_gap,
-            "similarity_excess": self.similarity_excess,
-            "papr_excess": self.papr_excess,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -488,14 +486,18 @@ def _iterate(specs: list) -> list:
     The specs must share N, L and max_iterations.  Rows that hold the
     same channel and symbol objects share one zero-forcing target.  A
     row ends after max_iterations, earlier when it stops certified, or
-    at iteration 0 when epsilon = 0 pins it to the reference, and its
-    SolveResult is built at its end from its iterate, duals, residual
-    history and rho trajectory.  An ended row leaves the stack once at
-    most _COMPACT_SHARE of the rows in it still run: the running rows
-    are then copied into buffers of their own size, which keep a map to
-    the caller's rows and carry each row's residual history from
-    iteration 0.  Until then the ended row goes on being advanced with
-    the stack, but its later values are never read.  Only the rho
+    at iteration 0 when epsilon = 0 pins it to the reference.  The one
+    loop here alone builds results and decides cuts.  Each pass takes
+    the rows that ended (first the pinned rows, then those that ended
+    the last stretch of :func:`_advance`) and builds their SolveResults
+    from their iterates, duals, residual histories and rho trajectories;
+    it returns once no row runs, and otherwise cuts the stack if due and
+    advances it to where the next row ends.  An ended row leaves the
+    stack once at most _COMPACT_SHARE of the rows in it still run: the
+    running rows are then copied into buffers of their own size, which
+    keep a map to the caller's rows and carry each row's residual history
+    from iteration 0.  Until then the ended row goes on being advanced
+    with the stack, but its later values are never read.  Only the rho
     trajectories stay in the caller's order.
     """
     if len({(s.reference.n_antennas, s.reference.n_samples,
@@ -512,19 +514,28 @@ def _iterate(specs: list) -> list:
     x_bar_comm = np.array([targets[key] for key in keys])
     n_rows = len(specs)
     n_antennas, n_total = specs[0].reference.n_antennas, specs[0].n_total
-    max_iterations = specs[0].max_iterations
-    epsilon = np.array([s.epsilon for s in specs], dtype=float)
-    eta = np.array([s.eta for s in specs], dtype=float)
-    running = epsilon != 0
     # in the caller's order: per row its rho change points and, once
     # ended, its result
     trajectories = [[(0, s.rho)] for s in specs]
     results = [None] * n_rows
-
-    def end(stack: _Stack, ending: np.ndarray, x_bar: np.ndarray,
-            iteration: int) -> None:
-        # the results of the rows of ``stack`` that the mask ``ending``
-        # picks, ended at ``iteration`` on x_bar and the stack's duals
+    duals = np.zeros((4, n_rows, 2 * n_total))
+    duals[0] = 2.0 * x_bar_comm
+    pulls = np.zeros((4, n_rows, 2 * n_total))
+    pulls[0] = [s.reference.lifted for s in specs]
+    stack = _Stack(
+        rows=np.arange(n_rows), x_bar_comm=x_bar_comm,
+        epsilon=np.array([s.epsilon for s in specs], dtype=float),
+        eta=np.array([s.eta for s in specs], dtype=float),
+        tolerance=np.array([s.feasibility_tolerance for s in specs]),
+        early_stop=np.array([s.early_stop for s in specs]),
+        adaptive=np.array([s.rho_schedule == "adaptive" for s in specs]),
+        rho=np.array([s.rho for s in specs], dtype=float),
+        checked=np.full(n_rows, np.inf),
+        running=np.array([s.epsilon != 0 for s in specs]), duals=duals,
+        pulls=pulls, history=np.empty((specs[0].max_iterations, n_rows, 3)))
+    # a pinned row ends at iteration 0, on the reference with zero duals
+    iteration, ending, x_bar = 0, ~stack.running, pulls[0]
+    while True:
         x_bar, x_bar_0 = x_bar[ending], stack.pulls[0, ending]
         epsilon, eta = stack.epsilon[ending], stack.eta[ending]
         objective, bound = _objective_and_bound(
@@ -543,45 +554,31 @@ def _iterate(specs: list) -> list:
                 iterations_run=iteration,
                 rho_trajectory=tuple(trajectories[i]),
             )
-
-    duals = np.zeros((4, n_rows, 2 * n_total))
-    duals[0] = 2.0 * x_bar_comm
-    pulls = np.zeros((4, n_rows, 2 * n_total))
-    pulls[0] = [s.reference.lifted for s in specs]
-    stack = _Stack(
-        rows=np.arange(n_rows), x_bar_comm=x_bar_comm, epsilon=epsilon,
-        eta=eta,
-        tolerance=np.array([s.feasibility_tolerance for s in specs]),
-        early_stop=np.array([s.early_stop for s in specs]),
-        adaptive=np.array([s.rho_schedule == "adaptive" for s in specs]),
-        rho=np.array([s.rho for s in specs], dtype=float),
-        checked=np.full(n_rows, np.inf), running=running, duals=duals,
-        pulls=pulls, history=np.empty((max_iterations, n_rows, 3)))
-    # a pinned row ends at once, on the reference with zero duals
-    end(stack, ~running, pulls[0], 0)
-    iteration = 0
-    while iteration < max_iterations and stack.running.any():
+        if not stack.running.any():
+            return results
         if (np.count_nonzero(stack.running)
                 <= _COMPACT_SHARE * stack.running.size):
             stack = stack.keep(stack.running)
-        iteration = _advance(stack, iteration, trajectories, end)
-    return results
+        iteration, ending, x_bar = _advance(stack, iteration, trajectories)
 
 
-def _advance(stack: _Stack, start: int, trajectories: list, record) -> int:
-    """Iterate ``stack`` from iteration ``start`` and return the iteration
-    reached: the budget's end, where every running row ends, or the
-    check after which at most _COMPACT_SHARE of the stack's rows still
-    run, none if the last one stopped there.
+def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
+    """Iterate ``stack`` from iteration ``start`` until some row ends, and
+    return the iteration reached, the mask of the rows that ended there
+    and the iterates of the whole stack.
 
-    Each row's residual norms go to its row of the stack's history, and
-    its rho change points to its caller's entry of ``trajectories``.
-    Rows that end are passed to ``record``, with the stack, the mask
-    that picks them, their iterates and the iteration.  The stack's rho,
-    checked, running, duals, pulls and history are updated in place.
+    A stretch ends at the first check where some row stops certified, or
+    at the budget's end, where every running row ends.  Within that last
+    iteration the stop check comes first, then the rho check on the rows
+    still running.  Each row's residual norms go to its row of the
+    stack's history, and its rho change points to its caller's entry of
+    ``trajectories``.  The stack's rho, checked, running, duals, pulls
+    and history are updated in place; :func:`_iterate` alone builds the
+    results and decides the cut.
     """
     (rows, x_bar_comm, epsilon, eta, tolerance, early_stop, adaptive, rho,
      checked, running, duals, pulls, history) = stack
+    entered = running.copy()
     n_rows, width = duals.shape[1:]
     n_total = width // 2
     stops_early = bool(early_stop.any())
@@ -608,7 +605,6 @@ def _advance(stack: _Stack, start: int, trajectories: list, record) -> int:
     ball_floor = np.maximum(epsilon_row, _TINY)
     rho_row = _per_row(rho, 1)
     denominator = 2.0 + 3.0 * rho_row
-    iteration = start
     for m in range(start, len(history)):
         # each phase is one call over the sphere, the ball and the discs,
         # with every operand order of the reference step functions
@@ -643,7 +639,7 @@ def _advance(stack: _Stack, start: int, trajectories: list, record) -> int:
         gaps *= rho_row
         u_v_w += gaps
         iteration = m + 1
-        shrink = False
+        ended = iteration == len(history)
         if stops_early and iteration % _STOP_CHECK_EVERY == 0:
             feasible = (running & early_stop
                         & np.all(_violations(x_bar, x_bar_0, epsilon, eta)
@@ -654,11 +650,8 @@ def _advance(stack: _Stack, start: int, trajectories: list, record) -> int:
                     x_bar, *u_v_w[1:], x_bar_comm, x_bar_0, epsilon, eta)
                 stopped = feasible & (_relative_gap(objective, bound)
                                       <= _CERTIFIED_GAP)
-                if stopped.any():
-                    record(stack, stopped, x_bar, iteration)
-                    running &= ~stopped
-                    shrink = (np.count_nonzero(running)
-                              <= _COMPACT_SHARE * n_rows)
+                running &= ~stopped
+                ended = ended or stopped.any()
         if iteration % _RHO_CHECK_EVERY == 0:
             largest = np.max(row_norms, axis=0)
             double = (running & adaptive & (largest > _RHO_STALL_FLOOR)
@@ -669,8 +662,8 @@ def _advance(stack: _Stack, start: int, trajectories: list, record) -> int:
             for j in np.flatnonzero(double):
                 trajectories[rows[j]].append((iteration, float(rho[j])))
             np.copyto(checked, largest, where=adaptive)
-        if shrink:
+        if ended:
             break
-    if iteration == len(history):
-        record(stack, running, x_bar, iteration)
-    return iteration
+    # at the budget's end every running row ends
+    running &= iteration < len(history)
+    return iteration, entered & ~running, x_bar

@@ -283,26 +283,58 @@ def test_the_kernel_is_the_step_functions_on_degenerate_rows():
         _assert_is_the_step_function_loop(specs)
 
 
-def test_a_stopped_row_takes_no_later_rho_doubling():
-    # the early-stop row passes the certified stop at iteration 260, at
-    # its initial rho.  Run on, it would stall and double rho at the
-    # check at iteration 400; its neighbour runs the whole budget, so the
-    # stack reaches that check.  The stopped row stays in the stack, so
-    # the check must leave its rho and trajectory alone, and the row must
-    # come out bitwise as it does alone.
+@pytest.fixture(scope="module")
+def solve_counting_cuts():
+    """solve(specs) and the (rows in the stack, rows kept) of each cut it
+    made."""
+    keep = admm._Stack.keep
+
+    def run(specs):
+        cuts = []
+
+        def counting_keep(stack, rows):
+            cuts.append((stack.rows.size, int(np.count_nonzero(rows))))
+            return keep(stack, rows)
+
+        with mock.patch.object(admm._Stack, "keep", counting_keep):
+            return solve(specs), cuts
+
+    return run
+
+
+@pytest.mark.parametrize("seed, controls, stop, running_on", [
+    # passes the certified stop at iteration 260, at its initial rho; run
+    # on, it would stall and double rho at the check at iteration 400
+    (1, dict(rho=0.5, feasibility_tolerance=1e-2), 260,
+     ((0, 0.5), (400, 1.0))),
+    # stops at iteration 200, the rho check at which neighbour 1000
+    # doubles its rho: the stop comes first, then the rho check
+    (2, dict(), 200, ((0, 1.0),)),
+], ids=["stop-then-stall", "stop-at-a-rho-check"])
+def test_a_stopped_row_takes_no_later_rho_doubling(
+        solve_counting_cuts, seed, controls, stop, running_on):
+    # both neighbours run the whole budget, so two of the three rows run
+    # on and the stack is never cut: the stopped row stays in it, so every
+    # later rho check must leave its rho and trajectory alone, and each
+    # row must come out bitwise as it does alone
     budget = dict(max_iterations=400, rho_schedule="adaptive")
-    stopping = _spec(4, 2, 16, 1, epsilon=1.0, eta=1.5, rho=0.5,
-                     feasibility_tolerance=1e-2, **budget)
-    stalling = _spec(4, 2, 16, 1000, epsilon=0.5, eta=1.5, rho=1.0,
-                     early_stop=False, **budget)
+    stopping = _spec(4, 2, 16, seed, epsilon=1.0, eta=1.5, **controls,
+                     **budget)
+    stalling = [_spec(4, 2, 16, neighbour, epsilon=0.5, eta=1.5, rho=1.0,
+                      early_stop=False, **budget)
+                for neighbour in (1000, 1001)]
     alone = solve(stopping)
-    assert alone.iterations_run == 260
-    assert alone.rho_trajectory == ((0, 0.5),)
-    running_on = solve(replace(stopping, early_stop=False))
-    assert running_on.rho_trajectory == ((0, 0.5), (400, 1.0))
-    stacked, neighbour = solve([stopping, stalling])
-    assert neighbour.iterations_run == 400
+    assert alone.iterations_run == stop
+    assert alone.rho_trajectory == ((0, stopping.rho),)
+    assert (solve(replace(stopping, early_stop=False)).rho_trajectory
+            == running_on)
+    (stacked, *neighbours), cuts = solve_counting_cuts([stopping] + stalling)
+    assert cuts == []
+    assert [r.iterations_run for r in neighbours] == [400, 400]
+    assert neighbours[0].rho_trajectory == ((0, 1.0), (200, 2.0))
     _assert_same(stacked, alone)
+    for whole, spec in zip(neighbours, stalling):
+        _assert_same(whole, solve(spec))
 
 
 def test_a_stack_of_pinned_rows_runs_no_iteration(monkeypatch):
@@ -379,7 +411,8 @@ _budget_running = st.fixed_dictionaries({
        pinned=st.integers(0, 2), max_iterations=st.integers(30, 220),
        order=st.randoms(use_true_random=False))
 def test_rows_that_leave_the_stack_match_their_single_solves(
-        certifying, budget_running, pinned, max_iterations, order):
+        solve_counting_cuts, certifying, budget_running, pinned,
+        max_iterations, order):
     # zf-normalized rows at eta 3 and epsilon 1.5 or 2 mostly certify by
     # iteration 40; rows at the constant-modulus cap eta = 1 never do,
     # and pinned rows end at iteration 0.  Once at most half the rows
@@ -400,15 +433,7 @@ def test_rows_that_leave_the_stack_match_their_single_solves(
     ended = sum(r.iterations_run < max_iterations for r in alone)
     assume(2 * ended >= len(specs))
     assert any(r.iterations_run == max_iterations for r in alone)
-    cuts = []
-    keep = admm._Stack.keep
-
-    def counting_keep(stack, rows):
-        cuts.append((stack.rows.size, int(np.count_nonzero(rows))))
-        return keep(stack, rows)
-
-    with mock.patch.object(admm._Stack, "keep", counting_keep):
-        stacked = solve(specs)
+    stacked, cuts = solve_counting_cuts(specs)
     assert cuts and all(0 < kept <= size // 2 for size, kept in cuts)
     for whole, single in zip(stacked, alone):
         _assert_same(whole, single)
@@ -429,7 +454,8 @@ def test_a_cut_at_the_budget_still_ends_the_rows_that_run_on():
         _assert_same(whole, solve(spec))
 
 
-def test_a_row_that_survives_two_cuts_matches_its_single_solve():
+def test_a_row_that_survives_two_cuts_matches_its_single_solve(
+        solve_counting_cuts):
     # six certifying rows stop at 110, 40, 40, 90, 40 and 60 iterations;
     # the row at the constant-modulus cap runs the whole budget.  The
     # stop at 60 leaves three of seven rows running, the stop at 110 one
@@ -440,15 +466,7 @@ def test_a_row_that_survives_two_cuts_matches_its_single_solve():
     alone = [solve(spec) for spec in specs]
     assert ([r.iterations_run for r in alone]
             == [110, 40, 40, 90, 40, 60, 200])
-    cuts = []
-    keep = admm._Stack.keep
-
-    def counting_keep(stack, rows):
-        cuts.append((stack.rows.size, int(np.count_nonzero(rows))))
-        return keep(stack, rows)
-
-    with mock.patch.object(admm._Stack, "keep", counting_keep):
-        stacked = solve(specs)
+    stacked, cuts = solve_counting_cuts(specs)
     assert cuts == [(7, 3), (3, 1)]
     for whole, single in zip(stacked, alone):
         _assert_same(whole, single)
