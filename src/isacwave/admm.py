@@ -245,7 +245,8 @@ def papr_cap(eta: float, n_total: int) -> float:
         raise ValueError(f"n_total = N*L must be >= 1, got {n_total}")
     if not 1.0 - _ETA_SLACK <= eta <= n_total * (1.0 + _ETA_SLACK):
         raise ValueError(
-            f"PAPR cap eta = {eta:g} must lie in [1, N*L] = [1, {n_total}], "
+            f"PAPR cap eta = {float(eta)!r} must lie in [1, N*L] = "
+            f"[1, {n_total}], "
             f"i.e. [0 dB, {10.0 * math.log10(n_total):.2f} dB]"
         )
     return min(max(float(eta), 1.0), float(n_total))

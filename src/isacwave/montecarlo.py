@@ -11,17 +11,20 @@ SER designs stop once feasible and certified optimal; the ccdf designs
 run the whole m_iter budget, since that experiment compares penalty
 weights at one budget.  Before it starts a worker pool, the parent
 imports numpy.random (numpy imports it on first use), so the forked
-workers inherit it instead of each importing it.  All randomness
-flows through per-trial streams keyed by (base_seed, trial, purpose),
-and a stacked design does not depend on its neighbours, so a table is
-bitwise reproducible and invariant to the number of worker processes.
-A noise key maps exactly to the stream of numpy's
-``default_rng(SeedSequence(key))``.  A channel or symbol key is hashed
-twice: it maps to ``default_rng(seed)`` with the one-int seed
-``int(SeedSequence(key).generate_state(1, np.uint64)[0])``, which
-default_rng hashes again.  The streams of a chunk of trials are derived
-together, in one vectorised pass of SeedSequence's hash, not one
-SeedSequence per stream.
+workers inherit it instead of each importing it.
+
+Every sweep draw comes from numpy's Philox4x64, a counter-based
+generator, keyed by base_seed (hence base_seed < 2**128).  Block b of
+trial t's stream for a purpose (channel, symbols or SER noise) sits at
+counter (t * B + b, purpose, SNR point, series), where B is the number
+of four-word blocks one trial of that purpose takes, so a chunk of
+contiguous trials draws each purpose with one call and no hash.  A
+symbol is a word's top bits.  A complex normal is Box-Muller's
+sqrt(-ln u1) exp(2 pi j u2) of two 53-bit uniforms, u1 in (0, 1].  A
+stacked design does not depend on its neighbours, so a table is
+bitwise reproducible and invariant to the number of worker processes
+and to the chunking.  The design command keeps its own int-seeded
+draws (draw_instance).
 
 SNR convention.  With "zf-normalized" (the default) each trial rescales
 the drawn channel so the zero-forcing block has exactly unit energy.
@@ -54,6 +57,7 @@ from . import __version__, kpi
 from .admm import ProblemSpec, papr_cap, solve, zero_forcing_target
 from .signal_model import (
     ChannelRealization,
+    SymbolBlock,
     chirp_reference,
     constellation_points,
     draw_channel,
@@ -64,12 +68,14 @@ from .signal_model import (
 
 SNR_CONVENTIONS = ("zf-normalized", "raw")
 
-# per-trial stream purposes; extending the key tuple never collides
+# counter words 1 and 3 of the per-trial streams (see _words)
 _PURPOSE_CHANNEL = 1
 _PURPOSE_SYMBOLS = 2
 _PURPOSE_NOISE = 3
 _SERIES_DESIGNED = 0
 _SERIES_ZERO_MUI = 1
+# base_seed is the Philox key, which holds 128 bits
+_SEED_BITS = 128
 
 # SER stopping rule: accumulate trials per point until enough errors or
 # the symbol budget is spent
@@ -82,7 +88,7 @@ _GAMMA_GRID_DB = np.linspace(0.0, 10.0, 201)
 # amortises numpy's per-call overhead over its rows, and the cap bounds
 # the memory a sweep holds at once.  256 was chosen before the fused
 # iteration; on 4 x 16 blocks 64 rows now measure 7-15% cheaper per row
-# (3.3-3.8 against 3.9-4.1 us per row-iteration, ROADMAP item 2), so
+# (3.3-3.8 against 3.9-4.1 us per row-iteration, ROADMAP item 5), so
 # the value awaits re-tuning there.
 _CHUNK_ROWS = 256
 
@@ -101,6 +107,7 @@ class ExperimentConfig:
 
     eta_grid holds linear PAPR caps, as ProblemSpec.eta does; each is
     checked and clamped once, by :func:`~isacwave.admm.papr_cap`.
+    base_seed is the key of every sweep stream, so it must be < 2**128.
     """
 
     n_antennas: int
@@ -126,6 +133,9 @@ class ExperimentConfig:
                     or value < least):
                 raise ValueError(f"{name} must be an integer >= {least}")
             object.__setattr__(self, name, int(value))
+        if self.base_seed >= 2 ** _SEED_BITS:
+            raise ValueError(f"base_seed must be < 2**{_SEED_BITS}, the "
+                             "width of the Philox key it becomes")
         if self.k_users > self.n_antennas:
             raise ValueError(
                 f"need k_users <= n_antennas, got K={self.k_users} > "
@@ -197,138 +207,81 @@ def _metadata(cfg: ExperimentConfig, **extra) -> dict:
 
 # --- per-trial streams -------------------------------------------------------
 #
-# A stream key is a tuple of non-negative ints.  A noise key names the
-# generator np.random.default_rng(np.random.SeedSequence(key)); a channel
-# or symbol key names the one-int seed that SeedSequence(key) generates,
-# which the draw hands to default_rng.  numpy derives a generator from
-# a SeedSequence with O'Neill's seed_seq hash (PCG, HMC-CS-2014-0905):
-# the key's uint32 words are mixed into a pool of four words, the pool is
-# hashed out into PCG64's initial state and stream id, and PCG64 seeds
-# itself from those with two steps of its LCG.  The hash is fixed uint32
-# arithmetic, so it runs here over a whole chunk of keys at once and
-# gives the same bits.
+# Philox4x64 (Salmon, Moraes, Dror & Shaw, SC'11) maps each counter to a
+# block of four words under its key, one-to-one, so a trial's words sit
+# at a fixed counter and need no hash.  The module docstring states the
+# counter layout.
 
-_POOL_SIZE = 4
-_XSHIFT = 16
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BLOCK_WORDS = 4
+_UNIFORM_STEP = 2.0 ** -53  # 53-bit uniforms from a word's top bits
 
 
-def _entropy_words(keys: list) -> tuple:
-    """The uint32 words SeedSequence reads from each of equally long
-    keys, zero-padded to at least the pool size, and each key's count.
+def _words(base_seed: int, trials: range, n_words: int, purpose: int,
+           point: int = 0, series: int = 0) -> np.ndarray:
+    """The first ``n_words`` words of each trial's stream for one
+    (purpose, point, series), as a (len(trials), n_words) uint64 array.
 
-    Every int becomes its little-endian 32-bit words, at least one, so
-    an int >= 2**32 spans several.
+    ``trials`` is a contiguous range of trial indices.
     """
-    ints = np.array(keys, dtype=object).reshape(len(keys), -1)
-    bits = max(int(ints.max()).bit_length(), 1)
-    parts = [ints >> shift for shift in range(0, bits, 32)]
-    words = np.stack([(part & _MASK32).astype(np.uint32) for part in parts],
-                     axis=-1).reshape(len(keys), -1)
-    # an int has words up to its highest nonzero one; the words past it
-    # are 0 and belong to no key
-    present = np.stack([np.ones(ints.shape, dtype=bool)]
-                       + [part != 0 for part in parts[1:]],
-                       axis=-1).reshape(len(keys), -1)
-    lengths = np.count_nonzero(present, axis=1)
-    order = np.argsort(~present, axis=1, kind="stable")[:, :lengths.max()]
-    entropy = np.zeros((len(keys), max(_POOL_SIZE, order.shape[1])),
-                       dtype=np.uint32)
-    entropy[:, :order.shape[1]] = np.take_along_axis(words, order, axis=1)
-    return entropy, lengths
+    blocks = -(-n_words // _BLOCK_WORDS)
+    counter = (series << 192 | point << 128 | purpose << 64
+               | trials.start * blocks)
+    # Philox steps its counter before it makes a block, so it starts one
+    # below the first; purpose >= 1 keeps that counter >= 0
+    generator = np.random.Philox(key=base_seed, counter=counter - 1)
+    words = generator.random_raw(len(trials) * blocks * _BLOCK_WORDS)
+    return words.reshape(len(trials), -1)[:, :n_words]
 
 
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k < n: the running constant of
-    seed_seq's hashes, which steps once per word hashed."""
-    constants = [init]
-    for _ in range(n - 1):
-        constants.append(constants[-1] * mult & _MASK32)
-    return np.array(constants, dtype=np.uint32)
+def _complex_normals(words: np.ndarray) -> np.ndarray:
+    """Unit-variance complex normals from rows of 2n words, n per row.
 
-
-def _hash(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
-    """seed_seq's hash of uint32 words, the k-th word (last axis) xored
-    with constants[k] and multiplied by constants[k + 1]."""
-    value = (value ^ constants[:-1]) * constants[1:]
-    return value ^ (value >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> _XSHIFT)
-
-
-def _seed_states(keys: list, n_words: int) -> np.ndarray:
-    """``SeedSequence(key).generate_state(n_words)`` of every key, as one
-    (len(keys), n_words) uint32 array."""
-    if not keys:
-        return np.empty((0, n_words), dtype=np.uint32)
-    entropy, lengths = _entropy_words(keys)
-    # hashmix runs once per pool word, once per ordered pair of pool
-    # words and once per (word past the pool, pool word)
-    extra = entropy.shape[1] - _POOL_SIZE
-    constants = _hash_constants(
-        _INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * extra + 1)
-    pool = _hash(entropy[:, :_POOL_SIZE], constants[:_POOL_SIZE + 1])
-    k = _POOL_SIZE
-    # each pool word is mixed into the three others in turn; it does not
-    # change while it is the source
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src, None],
-                                                constants[k:k + len(dst) + 1]))
-        k += len(dst)
-    # each word past the pool is mixed into every pool word; a key that
-    # has no such word keeps its pool
-    for src in range(_POOL_SIZE, entropy.shape[1]):
-        mixed = _mix(pool, _hash(entropy[:, src, None],
-                                 constants[k:k + _POOL_SIZE + 1]))
-        pool = np.where((lengths > src)[:, None], mixed, pool)
-        k += _POOL_SIZE
-    words = pool[:, np.arange(n_words) % _POOL_SIZE]
-    return _hash(words, _hash_constants(_INIT_B, _MULT_B, n_words + 1))
-
-
-def _stream_seeds(keys: list) -> list:
-    """``int(SeedSequence(key).generate_state(1, np.uint64)[0])`` of every
-    key: the one-int seed of a stream drawn through ``default_rng(seed)``."""
-    states = _seed_states(keys, 2).astype("<u4", order="C")
-    return states.view("<u8")[:, 0].tolist()
-
-
-def _streams(keys: list):
-    """Yield, for each of equally long keys in turn, a Generator in the
-    state of ``np.random.default_rng(np.random.SeedSequence(key))``.
-
-    The keys are hashed together in one pass.  One Generator is made per
-    call and set to each key's state in turn, so a key's draws must be
-    taken before the next key is yielded.
+    Box and Muller's transform of the 53-bit uniforms u1 in (0, 1], from
+    a row's first n words, and u2 in [0, 1), from its last n:
+    sqrt(-ln u1) exp(2 pi j u2), whose real and imaginary parts are
+    Box and Muller's two independent standard normals over sqrt(2).
     """
-    words = (_seed_states(keys, 8).astype("<u4", order="C").view("<u8")
-             .tolist())
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state_hi, state_lo, seq_hi, seq_lo in words:
-        # PCG64 seeding: inc = 2 * seq + 1, then two LCG steps from 0
-        # with the initial state added in between
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT
-                 + inc) & _MASK128
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    n = words.shape[1] // 2
+    # every transform reads a new contiguous array: numpy's log of a
+    # strided view can differ in the last bit from its contiguous log
+    radius = np.sqrt(-np.log(((words[:, :n] >> 11) + 1) * _UNIFORM_STEP))
+    angle = (words[:, n:] >> 11) * (2.0 * math.pi * _UNIFORM_STEP)
+    normals = np.empty(radius.shape, dtype=complex)
+    normals.real = radius * np.cos(angle)
+    normals.imag = radius * np.sin(angle)
+    return normals
+
+
+def _channels(cfg: ExperimentConfig, trials: range) -> np.ndarray:
+    """The channel of each trial as drawn, (T, K, N), i.i.d.
+    unit-variance complex normal entries."""
+    shape = (cfg.k_users, cfg.n_antennas)
+    words = _words(cfg.base_seed, trials, 2 * math.prod(shape),
+                   _PURPOSE_CHANNEL)
+    return _complex_normals(words).reshape(len(trials), *shape)
+
+
+def _symbols(cfg: ExperimentConfig, trials: range) -> np.ndarray:
+    """The sent symbols of each trial, (T, K, L), i.i.d. uniform over the
+    constellation."""
+    points = constellation_points(cfg.constellation)
+    shape = (cfg.k_users, cfg.n_samples)
+    words = _words(cfg.base_seed, trials, math.prod(shape), _PURPOSE_SYMBOLS)
+    # both constellations have a power-of-two size, so the top bits of a
+    # word index a point uniformly
+    index = words >> (64 - (len(points).bit_length() - 1))
+    return points[index].reshape(len(trials), *shape)
+
+
+def _normalized(channel: ChannelRealization, symbols: SymbolBlock,
+                snr_convention: str) -> ChannelRealization:
+    """The channel under ``snr_convention``: as drawn under "raw", and
+    rescaled under "zf-normalized" so the zero-forcing block has unit
+    energy."""
+    if snr_convention == "zf-normalized":
+        scale = float(np.linalg.norm(zero_forcing_target(channel, symbols)))
+        channel = ChannelRealization(channel.matrix * scale)
+    return channel
 
 
 def draw_instance(n_antennas: int, k_users: int, n_samples: int,
@@ -347,34 +300,22 @@ def draw_instance(n_antennas: int, k_users: int, n_samples: int,
     channel = draw_channel(k_users, n_antennas, rng_seed=channel_seed)
     symbols = draw_symbols(k_users, n_samples, constellation,
                            rng_seed=symbol_seed)
-    if snr_convention == "zf-normalized":
-        scale = float(np.linalg.norm(zero_forcing_target(channel, symbols)))
-        channel = ChannelRealization(channel.matrix * scale)
-    return channel, symbols
+    return _normalized(channel, symbols, snr_convention), symbols
 
 
-def _trial_instances(cfg: ExperimentConfig, trials) -> list:
-    """The instance of each trial, on that trial's streams.
-
-    The channel and the symbols of trial t are drawn from
-    ``default_rng(seed)`` at the one-int seed
-    ``int(SeedSequence((base_seed, t, purpose)).generate_state(1,
-    np.uint64)[0])`` of purposes 1 and 2; default_rng hashes that seed
-    into a SeedSequence again.
-    """
-    seeds = _stream_seeds([(cfg.base_seed, trial, purpose) for trial in trials
-                           for purpose in (_PURPOSE_CHANNEL,
-                                           _PURPOSE_SYMBOLS)])
-    return [
-        draw_instance(cfg.n_antennas, cfg.k_users, cfg.n_samples,
-                      cfg.constellation, cfg.snr_convention, channel_seed,
-                      symbol_seed)
-        for channel_seed, symbol_seed in zip(seeds[::2], seeds[1::2])
-    ]
+def _trial_instances(cfg: ExperimentConfig, trials: range) -> list:
+    """The (channel, symbols) design instance of each trial, its channel
+    rescaled under cfg.snr_convention."""
+    instances = []
+    for matrix, block in zip(_channels(cfg, trials), _symbols(cfg, trials)):
+        symbols = SymbolBlock(block)
+        instances.append((_normalized(ChannelRealization(matrix), symbols,
+                                      cfg.snr_convention), symbols))
+    return instances
 
 
 def _solve_trials(cfg: ExperimentConfig, grid, early_stop: bool, measure,
-                  trials) -> list:
+                  trials: range) -> list:
     """Draw a chunk of trials once and design each at every entry of
     ``grid``, a sequence of (epsilon, eta, rho), all as one stack.
 
@@ -417,19 +358,18 @@ def _worker_count(threads) -> int:
     return int(threads)
 
 
-def _map_trials(fn, trials, threads: int, grid_size: int = 1) -> list:
+def _map_trials(fn, trials: range, threads: int, grid_size: int = 1) -> list:
     """Per-trial results of ``fn``, which maps a chunk of trial indices
     to one result per trial, designing each trial at ``grid_size`` grid
     points.
 
-    Each call gets a contiguous chunk of whole trials, at most
+    Each call gets a contiguous chunk of whole trials, a range, at most
     _CHUNK_ROWS rows (trials x grid points) but at least one trial, one
     or more chunks per worker process, and the pool starts no more
     workers than there are chunks.  Results come back in trial order and
     do not depend on the chunking.
     """
     threads = _worker_count(threads)
-    trials = list(trials)
     size = max(1, min(_CHUNK_ROWS // grid_size,
                       math.ceil(len(trials) / threads)))
     chunks = [trials[i:i + size] for i in range(0, len(trials), size)]
@@ -526,7 +466,7 @@ def _designed_rate(noise_variance: float, channel, symbols, result) -> float:
 
 
 def _zero_mui_rate_trials(cfg: ExperimentConfig, noise_variance: float,
-                          trials) -> list:
+                          trials: range) -> list:
     rates = []
     for channel, symbols in _trial_instances(cfg, trials):
         target = zero_forcing_target(channel, symbols)
@@ -561,7 +501,7 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
         rates = np.empty(axis.size)
         errs = np.empty(axis.size)
         # one pool per grid point: perfbench pins 16 pool starts per
-        # request until its revision (ROADMAP item 1)
+        # request until its revision (ROADMAP item 4)
         for j, epsilon in enumerate(axis):
             fn = partial(_solve_trials, cfg, [(float(epsilon), eta, rho)],
                          True, partial(_designed_rate, noise_variance))
@@ -590,8 +530,9 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
 # --- experiment 3: SER over SNR with zero-MUI baseline ----------------------
 
 def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
-                open_points: np.ndarray, trials, received_clean: np.ndarray,
-                sent: np.ndarray, series: int) -> np.ndarray:
+                open_points: np.ndarray, trials: range,
+                received_clean: np.ndarray, sent: np.ndarray,
+                series: int) -> np.ndarray:
     """Symbol errors of a chunk of trials' blocks at every open SNR point.
 
     ``received_clean`` and ``sent`` hold the chunk's noiseless received
@@ -599,24 +540,21 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
     ``trials``.  Open point p of trial t adds noise from its own stream
     (t, p, series) to the noiseless block and counts detections that
     differ from the detected sent symbols.  A point closed at batch
-    start builds no noise stream and counts 0: ``_accumulate_ser`` never
-    reads its count, and every point draws from its own stream, so
-    skipping one leaves the others' noise unchanged.
+    start draws no noise and counts 0: ``_accumulate_ser`` never reads
+    its count, and every point draws from its own stream, so skipping
+    one leaves the others' noise unchanged.
     Returns a (T, P) array of counts.
     """
     transmitted = detect_qpsk(sent)
     points = np.flatnonzero(open_points)
-    shape = sent.shape[1:]
-    # the real and imaginary parts, drawn in that order from one stream
-    parts = np.empty((len(trials), points.size, 2) + shape)
-    keys = [(cfg.base_seed, trial, _PURPOSE_NOISE, int(p), series)
-            for trial in trials for p in points]
-    for draw, rng in zip(parts.reshape((-1, 2) + shape), _streams(keys)):
-        rng.standard_normal(out=draw)
-    noise = parts[:, :, 0] + 1j * parts[:, :, 1]
+    size = math.prod(sent.shape[1:])
+    noise = np.empty((len(trials), points.size, size), dtype=complex)
     for j, p in enumerate(points):
-        noise[:, j] *= math.sqrt(sigma2s[p] / 2.0)
-    detected = detect_qpsk(received_clean[:, None] + noise)
+        words = _words(cfg.base_seed, trials, 2 * size, _PURPOSE_NOISE,
+                       int(p), series)
+        noise[:, j] = math.sqrt(sigma2s[p]) * _complex_normals(words)
+    detected = detect_qpsk(received_clean[:, None]
+                           + noise.reshape(noise.shape[:2] + sent.shape[1:]))
     counts = np.zeros((len(trials), len(sigma2s)), dtype=np.int64)
     counts[:, points] = np.count_nonzero(detected != transmitted[:, None],
                                          axis=(2, 3))
@@ -630,7 +568,7 @@ def _received_block(channel, symbols, result) -> tuple:
 
 def _ser_designed_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
                          rho: float, sigma2s: tuple, open_points: np.ndarray,
-                         trials) -> np.ndarray:
+                         trials: range) -> np.ndarray:
     rows = _solve_trials(cfg, [(epsilon, eta, rho)], True, _received_block,
                          trials)
     received, sent = map(np.stack, zip(*(block for [block] in rows)))
@@ -639,18 +577,12 @@ def _ser_designed_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
 
 
 def _ser_zero_mui_trials(cfg: ExperimentConfig, sigma2s: tuple,
-                         open_points: np.ndarray, trials) -> np.ndarray:
+                         open_points: np.ndarray, trials: range) -> np.ndarray:
     # the baseline link receives the symbols themselves plus noise, what
     # the unit-energy zero-forcing block delivers under "zf-normalized";
     # no channel is drawn, so the series is the same under either
     # convention and only the symbol and noise streams are consumed
-    seeds = _stream_seeds([(cfg.base_seed, trial, _PURPOSE_SYMBOLS)
-                           for trial in trials])
-    sent = np.stack([
-        draw_symbols(cfg.k_users, cfg.n_samples, cfg.constellation,
-                     rng_seed=rng).symbols
-        for rng in _streams([(seed,) for seed in seeds])
-    ])
+    sent = _symbols(cfg, trials)
     return _ser_counts(cfg, sigma2s, open_points, trials, sent, sent,
                        _SERIES_ZERO_MUI)
 

@@ -62,6 +62,11 @@ def _rank_deficient(k_users, n_antennas, rng_seed):
     return ChannelRealization(np.vstack([row] * k_users))
 
 
+def _rank_deficient_chunk(cfg, trials):
+    # a sweep draws a chunk's channels at once
+    return np.ones((len(trials), cfg.k_users, cfg.n_antennas), dtype=complex)
+
+
 class TestConfigValidation:
     def test_missing_channel_seed_names_field(self, tmp_path, capsys):
         config = _design_config(channel_seed=None)
@@ -263,7 +268,8 @@ class TestConfigValidation:
             self, tmp_path, monkeypatch, capsys, command, config, extra,
             expected, named):
         if expected == cli.EXIT_SINGULAR:
-            monkeypatch.setattr(montecarlo, "draw_channel", _rank_deficient)
+            monkeypatch.setattr(montecarlo, "_channels",
+                                _rank_deficient_chunk)
         code, out = _run(tmp_path, command, config, *extra)
         assert code == expected
         # nothing was written, so no output directory was made
@@ -648,6 +654,17 @@ class TestPaprCapRule:
         code, _ = _run(tmp_path, "sumrate", config)
         assert code == cli.EXIT_OK
         assert sweep_caps == [80.0]
+
+    def test_a_rejected_cap_prints_its_own_digits(self, tmp_path, capsys):
+        # 18.0618 dB is a linear cap just past N*L = 64; printed as "64"
+        # it would sit inside the range the message states
+        code, out = _run(tmp_path, "ccdf", _experiment_config(n_samples=16),
+                         "--set", "experiment.eta_db=[18.0618]")
+        assert code == cli.EXIT_BAD_CONFIG
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert "eta = 64 " not in err
+        assert f"eta = {10.0 ** (18.0618 / 10.0)!r} must lie in" in err
 
     @settings(max_examples=60, deadline=None)
     @given(n_antennas=st.integers(1, 6), n_samples=st.integers(1, 12),

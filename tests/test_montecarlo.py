@@ -27,7 +27,6 @@ from isacwave.montecarlo import (
 from isacwave.signal_model import (
     chirp_reference,
     constellation_points,
-    draw_channel,
     draw_symbols,
 )
 
@@ -111,6 +110,16 @@ class TestExperimentConfig:
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises((ValueError, KeyError)):
             _cfg(**{field: value})
+
+    def test_base_seed_must_fit_the_philox_key(self):
+        with pytest.raises(ValueError, match="base_seed"):
+            _cfg(base_seed=2 ** 128)
+        # the largest key draws every purpose, at one worker and at two
+        cfg = _cfg(base_seed=2 ** 128 - 1, snr_grid_db=(0.0, 4.0), m_iter=5)
+        a, b = (run_ser(cfg, threads=threads) for threads in (1, 2))
+        for label in a.series:
+            np.testing.assert_array_equal(a.series[label], b.series[label])
+        assert a.metadata == b.metadata
 
     def test_more_users_than_antennas_rejected(self):
         with pytest.raises(ValueError):
@@ -414,26 +423,26 @@ class TestRunSer:
         # only the symbol and noise streams feed these counts
         table = run_ser(_cfg(snr_grid_db=(0.0, 4.0), n_trials=1))
         stats = table.metadata["series_stats"]["zero_mui"]
-        assert stats["errors"] == [104, 100]
-        assert stats["symbols"] == [384, 880]
-        assert stats["trials"] == [24, 55]
+        assert stats["errors"] == [103, 101]
+        assert stats["symbols"] == [352, 848]
+        assert stats["trials"] == [22, 53]
 
     @pytest.mark.parametrize("base_seed, want", [
         (2 ** 32 + 5, {
-            "zero_mui": {"errors": [100, 100], "symbols": [416, 896],
-                         "trials": [26, 56]},
-            "designed": {"errors": [102, 101], "symbols": [304, 560],
-                         "trials": [19, 35]}}),
+            "zero_mui": {"errors": [100, 100], "symbols": [320, 1104],
+                         "trials": [20, 69]},
+            "designed": {"errors": [103, 100], "symbols": [272, 656],
+                         "trials": [17, 41]}}),
         (2 ** 64 - 1, {
-            "zero_mui": {"errors": [100, 100], "symbols": [352, 1008],
-                         "trials": [22, 63]},
-            "designed": {"errors": [101, 100], "symbols": [304, 688],
-                         "trials": [19, 43]}}),
+            "zero_mui": {"errors": [100, 102], "symbols": [352, 880],
+                         "trials": [22, 55]},
+            "designed": {"errors": [104, 102], "symbols": [368, 768],
+                         "trials": [23, 48]}}),
     ], ids=["two-word", "largest-u64"])
     def test_multi_word_base_seeds_pin_the_stream_layout(self, base_seed,
                                                          want):
-        # a base seed of two uint32 words makes every noise key six words
-        # long, past SeedSequence's four-word pool
+        # the base seed is the Philox key: past 32 bits, and at the
+        # largest --seed, every bit of its low u64 key word
         table = run_ser(_cfg(snr_grid_db=(0.0, 4.0), n_trials=1,
                              base_seed=base_seed, m_iter=5))
         assert table.metadata["series_stats"] == want
@@ -454,24 +463,30 @@ class TestRunSer:
 
 class TestStreamLayout:
     @pytest.mark.parametrize("base_seed", [20260818, 2 ** 32 + 5])
-    def test_designed_draws_are_seeded_twice(self, base_seed):
-        # a channel or symbol key names a one-int seed that default_rng
-        # hashes again, not the stream of SeedSequence(key) itself
-        cfg = _cfg(base_seed=base_seed, snr_convention="raw")
-        trials = (0, 5)
-        for trial, (channel, symbols) in zip(
-                trials, montecarlo._trial_instances(cfg, trials)):
-            keys = [(base_seed, trial, purpose) for purpose in (1, 2)]
-            seeds = [int(np.random.SeedSequence(key)
-                         .generate_state(1, np.uint64)[0]) for key in keys]
+    def test_designed_draws_read_their_layout_words(self, base_seed):
+        # trial t's channel and symbols are the Philox words under key
+        # base_seed at counter (t * B, purpose, 0, 0); 16 words each take
+        # B = 4 blocks.  The zf-normalized draw is the raw one rescaled
+        trials = range(4, 6)
+        raw = montecarlo._trial_instances(
+            _cfg(base_seed=base_seed, snr_convention="raw"), trials)
+        normalized = montecarlo._trial_instances(
+            _cfg(base_seed=base_seed), trials)
+        for trial, (channel, symbols), (scaled, same) in zip(
+                trials, raw, normalized):
+            words = [np.random.Philox(
+                key=base_seed, counter=(purpose << 64 | trial * 4) - 1)
+                .random_raw(16) for purpose in (1, 2)]
             np.testing.assert_array_equal(
-                channel.matrix, draw_channel(2, 4, rng_seed=seeds[0]).matrix)
+                channel.matrix,
+                montecarlo._complex_normals(words[0][None]).reshape(2, 4))
             np.testing.assert_array_equal(
                 symbols.symbols,
-                draw_symbols(2, 8, "qpsk", rng_seed=seeds[1]).symbols)
-            one_stage = np.random.default_rng(np.random.SeedSequence(keys[0]))
-            assert not np.array_equal(
-                channel.matrix, draw_channel(2, 4, rng_seed=one_stage).matrix)
+                constellation_points("qpsk")[words[1] >> 62].reshape(2, 8))
+            np.testing.assert_array_equal(same.symbols, symbols.symbols)
+            scale = np.linalg.norm(admm.zero_forcing_target(channel, symbols))
+            np.testing.assert_array_equal(scaled.matrix,
+                                          channel.matrix * scale)
 
 
 class TestSnrConventions:
@@ -533,16 +548,16 @@ class TestTrialStacks:
         return calls
 
     def _noise_streams(self, monkeypatch):
-        # the (trial, point, series) key of every noise stream built
+        # the (trial, point, series) of every noise stream drawn
         streams = []
-        real = montecarlo._streams
+        real = montecarlo._words
 
-        def spy(keys):
-            streams.extend((key[1], *key[3:]) for key in keys
-                           if key[2:3] == (montecarlo._PURPOSE_NOISE,))
-            return real(keys)
+        def spy(base_seed, trials, n_words, purpose, point=0, series=0):
+            if purpose == montecarlo._PURPOSE_NOISE:
+                streams.extend((trial, point, series) for trial in trials)
+            return real(base_seed, trials, n_words, purpose, point, series)
 
-        monkeypatch.setattr(montecarlo, "_streams", spy)
+        monkeypatch.setattr(montecarlo, "_words", spy)
         return streams
 
     def test_a_ccdf_grid_is_one_stack_with_one_reference(self, monkeypatch):
@@ -554,14 +569,18 @@ class TestTrialStacks:
         assert len(references) == 1
 
     def test_a_ccdf_sweep_draws_each_trial_once(self, monkeypatch):
-        channels = self._spy(monkeypatch, "draw_channel")
+        channels = []
+        real = montecarlo._channels
+        monkeypatch.setattr(
+            montecarlo, "_channels",
+            lambda cfg, trials: channels.extend(trials) or real(cfg, trials))
         rescales = self._spy(monkeypatch, "zero_forcing_target")
         # solve builds one target per trial, shared by its grid rows
         targets = self._spy(monkeypatch, "zero_forcing_target", admm)
         n_trials = 5
         run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
                       n_trials=n_trials, m_iter=20))
-        assert len(channels) == n_trials
+        assert channels == list(range(n_trials))
         assert len(rescales) == n_trials
         assert len(targets) == n_trials
 
@@ -584,7 +603,7 @@ class TestTrialStacks:
         cfg = _cfg(snr_grid_db=(0.0, 3.0, 6.0, 9.0))
         sigma2s = tuple(10.0 ** (-s / 10.0) for s in cfg.snr_grid_db)
         open_points = np.array([True, True, False, True])
-        trials, series = [4, 9], 0
+        trials, series = range(4, 6), 0
         sent = np.stack([draw_symbols(2, 8, "qpsk", rng_seed=seed).symbols
                          for seed in (3, 5)])
         received = 0.8 * sent + 0.1
@@ -605,12 +624,13 @@ class TestTrialStacks:
                 if not open_points[p]:
                     row.append(0)
                     continue
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    [cfg.base_seed, trial, montecarlo._PURPOSE_NOISE, p,
-                     series]))
-                noise = (rng.standard_normal(sent[i].shape)
-                         + 1j * rng.standard_normal(sent[i].shape))
-                noise *= math.sqrt(sigma2 / 2.0)
+                # 32 words take 8 blocks a trial
+                words = np.random.Philox(key=cfg.base_seed, counter=(
+                    series << 192 | p << 128
+                    | montecarlo._PURPOSE_NOISE << 64 | trial * 8) - 1
+                ).random_raw(32)
+                noise = math.sqrt(sigma2) * montecarlo._complex_normals(
+                    words[None]).reshape(sent[i].shape)
                 row.append(int(np.count_nonzero(
                     detect(received[i] + noise) != detect(sent[i]))))
             want.append(row)
