@@ -22,9 +22,18 @@ contiguous trials draws each purpose with one call and no hash.  A
 symbol is a word's top bits.  A complex normal is Box-Muller's
 sqrt(-ln u1) exp(2 pi j u2) of two 53-bit uniforms, u1 in (0, 1].  A
 stacked design does not depend on its neighbours, so a table is
-bitwise reproducible and invariant to the number of worker processes
-and to the chunking.  The design command keeps its own int-seeded
-draws (draw_instance).
+bitwise reproducible and invariant to the number of worker processes,
+to the chunking and to the SER batch sizes.  The design command keeps
+its own int-seeded draws (draw_instance).
+
+SER batches.  Each SER series draws trials in batches until every SNR
+point has 100 errors or the 10^6-symbol budget is spent.  The first
+batch gives each worker 16 trials, 32 at least; a later one holds the
+trials the neediest open point is expected to still need, plus 25%,
+or doubles the trials run while that point has no error, never fewer
+than the first batch, more than 256 (_CHUNK_ROWS) or past the budget.
+A point absorbs rows in trial order, so the batch sizes decide only
+how many rows are computed and discarded.
 
 SNR convention.  With "zf-normalized" (the default) each trial rescales
 the drawn channel so the zero-forcing block has exactly unit energy.
@@ -587,6 +596,25 @@ def _ser_zero_mui_trials(cfg: ExperimentConfig, sigma2s: tuple,
                        _SERIES_ZERO_MUI)
 
 
+def _ser_batch(errors: np.ndarray, done: int, workers: int) -> int:
+    """Trials in the next SER batch, after ``done`` trials that left
+    the per-point ``errors``.
+
+    The first batch is max(32, 16 * workers) trials, 16 for each worker.
+    An open point has absorbed every trial so far, so the neediest is
+    the one with the fewest errors; a later batch is the trials it is
+    expected to still need, its missing errors times done / errors,
+    plus 25% and rounded up, or ``done`` while it has no error, which
+    doubles its trials.  Every batch holds at least the first's trials
+    and at most _CHUNK_ROWS.  The constants were measured on the SER
+    sweep to 10 dB at 50 iterations (CHANGES.md).
+    """
+    least = int(errors.min())
+    need = done if least == 0 else -(-5 * (_MIN_ERRORS - least) * done
+                                     // (4 * least))
+    return min(max(32, 16 * workers, need), _CHUNK_ROWS)
+
+
 def _accumulate_ser(chunk_fn, n_points: int, symbols_per_trial: int,
                     threads: int):
     """Per-point (errors, trials) under the SER stopping rule.
@@ -595,24 +623,28 @@ def _accumulate_ser(chunk_fn, n_points: int, symbols_per_trial: int,
     batch start and a chunk of trial indices to one row of per-point
     error counts per trial.  In trial order, an open point absorbs rows
     up to the first that brings its errors to _MIN_ERRORS; counts of
-    points closed at batch start are never read.  The trial loop ends at
-    the symbol budget.
+    points closed at batch start are never read.  The trial loop runs
+    in batches sized by ``_ser_batch`` and ends at the symbol budget.
+    Each row comes from its trial's own streams and a stacked design
+    does not depend on its neighbours, so the batch sizes decide only
+    how many rows are discarded, never the result.
     """
+    workers = _worker_count(threads)
     errors = np.zeros(n_points, dtype=np.int64)
     trials = np.zeros(n_points, dtype=np.int64)
     cap = math.ceil(_MAX_SYMBOLS / symbols_per_trial)
-    batch = max(64, 16 * _worker_count(threads))
-    for t in range(0, cap, batch):
-        open_points = errors < _MIN_ERRORS
-        if not open_points.any():
-            break
-        rows = np.array(_map_trials(partial(chunk_fn, open_points),
-                                    range(t, min(t + batch, cap)), threads))
+    done = 0
+    while done < cap and errors.min() < _MIN_ERRORS:
+        end = min(done + _ser_batch(errors, done, workers), cap)
+        rows = np.array(_map_trials(
+            partial(chunk_fn, errors < _MIN_ERRORS), range(done, end),
+            workers))
         # a row is absorbed while the errors before it fall short, which
         # turns away every row of a point closed at batch start
         absorbed = errors + np.cumsum(rows, axis=0) - rows < _MIN_ERRORS
         errors += np.sum(rows, axis=0, where=absorbed)
         trials += np.count_nonzero(absorbed, axis=0)
+        done = end
     return errors, trials
 
 

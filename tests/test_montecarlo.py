@@ -11,9 +11,9 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from isacwave import admm, montecarlo
+from isacwave import admm, cli, montecarlo
 from isacwave.kpi import sinr_per_user
 from isacwave.montecarlo import (
     CurveTable,
@@ -65,6 +65,14 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
     return sizes
+
+
+@pytest.fixture(scope="module")
+def ser_reference():
+    """A small SER sweep's config and its table under the batch rule at
+    one worker; its 6 dB zero-MUI point runs past the first batch."""
+    cfg = _cfg(snr_grid_db=(0.0, 6.0), n_trials=1, m_iter=5)
+    return cfg, run_ser(cfg)
 
 
 class TestExperimentConfig:
@@ -447,7 +455,7 @@ class TestRunSer:
                              base_seed=base_seed, m_iter=5))
         assert table.metadata["series_stats"] == want
 
-    # one or two workers accumulate batches of 64 trials, five of 80
+    # one or two workers start with a batch of 32 trials, five with 80
     @pytest.mark.parametrize("threads", [2, 5])
     def test_deterministic_and_worker_invariant(self, request, threads):
         if threads > 2:
@@ -459,6 +467,33 @@ class TestRunSer:
         for label in a.series:
             np.testing.assert_array_equal(a.series[label], b.series[label])
         assert a.metadata["series_stats"] == b.metadata["series_stats"]
+
+    # ROADMAP aim 3: the batch sizes decide only how many rows are
+    # discarded.  A schedule forces the batch after `done` trials to
+    # schedule[done % len(schedule)] trials; None keeps the batch rule
+    @settings(max_examples=12, deadline=None)
+    @given(schedule=st.one_of(st.none(), st.lists(st.integers(1, 256),
+                                                  min_size=1, max_size=4)),
+           threads=st.sampled_from([1, 2]))
+    @example(schedule=[1], threads=1)
+    @example(schedule=[7], threads=2)
+    @example(schedule=[64], threads=1)
+    @example(schedule=[256], threads=2)
+    @example(schedule=None, threads=2)
+    def test_results_do_not_depend_on_the_batch_sizes(self, ser_reference,
+                                                      schedule, threads):
+        cfg, want = ser_reference
+        with pytest.MonkeyPatch.context() as patch:
+            if schedule is not None:
+                patch.setattr(montecarlo, "_ser_batch",
+                              lambda errors, done, workers:
+                              schedule[done % len(schedule)])
+            got = run_ser(cfg, threads=threads)
+        for label in want.series:
+            np.testing.assert_array_equal(got.series[label],
+                                          want.series[label])
+        assert (got.metadata["series_stats"]
+                == want.metadata["series_stats"])
 
 
 class TestStreamLayout:
@@ -560,6 +595,21 @@ class TestTrialStacks:
         monkeypatch.setattr(montecarlo, "_words", spy)
         return streams
 
+    def _ser_batches(self, monkeypatch):
+        # the trial ranges of every SER batch, per series
+        batches = {montecarlo._SERIES_DESIGNED: [],
+                   montecarlo._SERIES_ZERO_MUI: []}
+        series = {montecarlo._ser_designed_trials: montecarlo._SERIES_DESIGNED,
+                  montecarlo._ser_zero_mui_trials: montecarlo._SERIES_ZERO_MUI}
+        real = montecarlo._map_trials
+
+        def spy(fn, trials, threads, grid_size=1):
+            batches[series[fn.func]].append(trials)
+            return real(fn, trials, threads, grid_size)
+
+        monkeypatch.setattr(montecarlo, "_map_trials", spy)
+        return batches
+
     def test_a_ccdf_grid_is_one_stack_with_one_reference(self, monkeypatch):
         stacks = self._spy(monkeypatch, "solve")
         references = self._spy(monkeypatch, "chirp_reference")
@@ -595,8 +645,23 @@ class TestTrialStacks:
 
     def test_each_ser_batch_of_designed_trials_is_one_stack(self, monkeypatch):
         stacks = self._spy(monkeypatch, "solve")
-        run_ser(_cfg(snr_grid_db=(0.0,), n_trials=1, m_iter=20))
-        assert stacks and all(len(specs) == 64 for specs in stacks)
+        batches = self._ser_batches(monkeypatch)[montecarlo._SERIES_DESIGNED]
+        sizes = []
+        real = montecarlo._ser_batch
+
+        def scheduled(*args):
+            sizes.append(real(*args))
+            return sizes[-1]
+
+        monkeypatch.setattr(montecarlo, "_ser_batch", scheduled)
+        run_ser(_cfg(snr_grid_db=(0.0, 6.0), n_trials=1, m_iter=5))
+        # the designed series runs first, in batches of the scheduled
+        # sizes, each one stack of its contiguous trials
+        assert len(batches) > 1
+        assert [len(b) for b in batches] == sizes[:len(batches)]
+        assert [b.start for b in batches] == [0, *(b.stop for b in
+                                                   batches[:-1])]
+        assert [len(specs) for specs in stacks] == sizes[:len(batches)]
 
     def test_ser_counts_detect_once_and_match_the_per_point_loop(
             self, monkeypatch):
@@ -639,45 +704,44 @@ class TestTrialStacks:
     def test_ser_noise_streams_only_for_points_open_at_batch_start(
             self, monkeypatch):
         streams = self._noise_streams(monkeypatch)
+        batches = self._ser_batches(monkeypatch)
         table = run_ser(_cfg(snr_grid_db=(0.0, 4.0, 8.0), n_trials=1,
                              m_iter=20))
-        batch = 64  # the single-worker batch of _accumulate_ser
         run = 0
         for name, series in (("designed", montecarlo._SERIES_DESIGNED),
                              ("zero_mui", montecarlo._SERIES_ZERO_MUI)):
             used = table.metadata["series_stats"][name]["trials"]
             # a point is open at the start of the batch beginning at trial
-            # t exactly when it absorbed trial t; every batch is full, as
-            # the symbol cap is far away
+            # t exactly when it absorbed trial t
             want = 0
-            for t in range(0, max(used), batch):
-                want += batch * sum(n > t for n in used)
-                run += batch
+            for batch in batches[series]:
+                want += len(batch) * sum(n > batch.start for n in used)
+                run += len(batch)
             assert sum(key[-1] == series for key in streams) == want
         assert len(streams) < run * len(table.axis_values)
 
 
 def _accumulate_ser_per_row(chunk_fn, n_points, symbols_per_trial):
     """The per-row loop that the batch cut of _accumulate_ser replaced,
-    kept as its reference (one worker, batches of 64)."""
+    kept as its reference.  It runs one trial at a time and also returns
+    the mask of points open before each trial."""
     errors = np.zeros(n_points, dtype=np.int64)
     symbols = np.zeros(n_points, dtype=np.int64)
     trials_used = np.zeros(n_points, dtype=np.int64)
     still_open = np.ones(n_points, dtype=bool)
     cap = math.ceil(montecarlo._MAX_SYMBOLS / symbols_per_trial)
+    masks = []
     t = 0
     while np.any(still_open) and t < cap:
-        hi = min(t + 64, cap)
-        for row in chunk_fn(still_open.copy(), range(t, hi)):
-            errors[still_open] += row[still_open]
-            symbols[still_open] += symbols_per_trial
-            trials_used[still_open] += 1
-            still_open &= ~((errors >= montecarlo._MIN_ERRORS)
-                            | (symbols >= montecarlo._MAX_SYMBOLS))
-            if not np.any(still_open):
-                break
-        t = hi
-    return errors, trials_used
+        masks.append(still_open.tolist())
+        [row] = chunk_fn(still_open.copy(), range(t, t + 1))
+        errors[still_open] += row[still_open]
+        symbols[still_open] += symbols_per_trial
+        trials_used[still_open] += 1
+        still_open &= ~((errors >= montecarlo._MIN_ERRORS)
+                        | (symbols >= montecarlo._MAX_SYMBOLS))
+        t += 1
+    return errors, trials_used, masks
 
 
 class TestCertifiedStopInSweeps:
@@ -707,32 +771,95 @@ class TestCertifiedStopInSweeps:
             assert iterations == [m_iter] * len(iterations)
 
 
+class TestSerBatchSchedule:
+    def test_the_first_batch_holds_16_trials_a_worker_and_at_least_32(self):
+        errors = np.zeros(3, dtype=np.int64)
+        assert [montecarlo._ser_batch(errors, 0, workers)
+                for workers in (1, 2, 5, 17)] == [32, 32, 80,
+                                                  montecarlo._CHUNK_ROWS]
+
+    @pytest.mark.parametrize("errors, done, want", [
+        # the neediest open point has 25 errors in 40 trials: its 75
+        # missing errors need 120 trials, and a quarter more is 150
+        ([25, 60, 130], 40, 150),
+        # 30 missing errors at 70 in 100 trials: 53.6 trials, rounded up
+        ([70], 100, 54),
+        # a smaller need is raised to the first batch's size
+        ([99, 100], 40, 32),
+        # a larger one is cut to _CHUNK_ROWS
+        ([5], 40, montecarlo._CHUNK_ROWS),
+        # no error yet: the batch doubles the trials run
+        ([0, 100], 48, 48),
+    ])
+    def test_a_later_batch_is_the_neediest_points_need_and_a_quarter(
+            self, errors, done, want):
+        assert montecarlo._ser_batch(np.array(errors), done, 1) == want
+
+    def test_a_point_with_no_error_grows_the_batch_geometrically(self):
+        batches = []
+
+        def no_errors(open_points, trials):
+            batches.append(len(trials))
+            return np.zeros((len(trials), 2), dtype=np.int64)
+
+        # 1,000 symbols per trial cap a point at 1,000 trials
+        montecarlo._accumulate_ser(no_errors, 2, 1_000, threads=1)
+        assert batches == [32, 32, 64, 128, 256, 256, 232]
+
+    def test_the_ser_baseline_grid_solves_one_first_batch_of_designs(
+            self, monkeypatch, tmp_path):
+        # perfbench's ser-baseline request at seed 1, whose slowest
+        # designed point closes within 24 trials
+        rows = []
+        real = montecarlo.solve
+        monkeypatch.setattr(montecarlo, "solve",
+                            lambda specs: rows.append(len(specs)) or real(specs))
+        config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                              "ser.json")
+        assert cli.main([
+            "ser", "--config", config, "--seed", "1", "--out", str(tmp_path),
+            "--set", "experiment.snr_db=[0.0,2.0,4.0,6.0,8.0,10.0]",
+            "--set", "experiment.m_iter=50"]) == 0
+        assert sum(rows) <= 32
+
+
 class TestSerStoppingRule:
     # per-trial error rates: 30 closes a point within a few trials, 1.6
-    # near the end of the first batch of 64, 1 in the second, 0.3 seldom
-    # before the symbol cap, 0 never
+    # and 1 within a few batches, 0.3 seldom before the symbol cap, 0
+    # never
     RATES = (0.0, 0.3, 1.0, 1.6, 4.0, 30.0)
 
     def _compare(self, seed, rates, symbols_per_trial):
+        """(errors, trials) of _accumulate_ser checked against the
+        per-row loop; returns the trials and the batch edges."""
         cap = math.ceil(montecarlo._MAX_SYMBOLS / symbols_per_trial)
         counts = np.random.default_rng(seed).poisson(
             rates, size=(cap, len(rates)))
-        batches = {"cut": [], "loop": []}
+        batches = []
 
         def chunk_fn(log, open_points, trials):
-            log.append((open_points.tolist(), list(trials)))
+            log.append((open_points.tolist(), trials))
             rows = counts[list(trials)]
             # a point closed at batch start gets a count never to be read
             return np.where(open_points, rows, rows + 1)
 
         got = montecarlo._accumulate_ser(
-            partial(chunk_fn, batches["cut"]), len(rates), symbols_per_trial,
+            partial(chunk_fn, batches), len(rates), symbols_per_trial,
             threads=1)
-        want = _accumulate_ser_per_row(
-            partial(chunk_fn, batches["loop"]), len(rates), symbols_per_trial)
+        *want, masks = _accumulate_ser_per_row(
+            partial(chunk_fn, []), len(rates), symbols_per_trial)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
-        assert batches["cut"] == batches["loop"]
-        return got[1].tolist()
+        # the batches follow each other from trial 0, none holds more
+        # than _CHUNK_ROWS trials or runs past the cap, and each asks for
+        # the points open before its first trial
+        edges = [0]
+        for open_points, trials in batches:
+            assert trials.start == edges[-1]
+            assert 0 < len(trials) <= montecarlo._CHUNK_ROWS
+            assert open_points == masks[trials.start]
+            edges.append(trials.stop)
+        assert edges[-1] <= cap
+        return got[1].tolist(), edges
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -743,9 +870,9 @@ class TestSerStoppingRule:
         self._compare(seed, rates, symbols_per_trial)
 
     def test_points_close_mid_batch_in_a_later_batch_and_at_the_cap(self):
-        # 7,000 symbols per trial cap a point at 143 trials: batches of
-        # 64, 64 and 15
-        trials = self._compare(3, [30.0, 1.0, 0.3], 7_000)
-        assert trials[0] < 64
-        assert 64 < trials[1] < 128
-        assert trials[2] == 143
+        # 7,000 symbols per trial cap a point at 143 trials
+        trials, edges = self._compare(3, [30.0, 1.0, 0.3], 7_000)
+        assert trials[0] < edges[1]
+        assert any(start < trials[1] < stop
+                   for start, stop in zip(edges[1:], edges[2:]))
+        assert trials[2] == 143 == edges[-1]
