@@ -115,10 +115,8 @@ from .signal_model import (
     ReferenceWaveform,
     SymbolBlock,
     Waveform,
-    lift,
     unlift,
     unvec,
-    vec,
 )
 
 
@@ -283,22 +281,37 @@ def zero_forcing_target(
     Computed as vec(H^H (H H^H)^-1 S).  Raises SingularChannelError when
     the Gram matrix H H^H is singular or numerically unusable.
     """
-    h = channel.matrix
-    s = symbols.symbols
-    if channel.k_users > channel.n_antennas:
+    [target] = _zero_forcing_targets(channel.matrix[None],
+                                     symbols.symbols[None])
+    return target
+
+
+def _zero_forcing_targets(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """:func:`zero_forcing_target` of each pair of a stack of (K, N)
+    channels ``h`` and (K, L) symbol blocks ``s``, as a (T, N*L) array.
+
+    Each slice goes through the same BLAS and LAPACK calls as a pair
+    alone, so row t is bitwise the target of pair t alone.  Raises
+    SingularChannelError with the condition number of the first pair
+    whose Gram matrix is singular or numerically unusable.
+    """
+    if h.shape[-2] > h.shape[-1]:
         raise ValueError("zero forcing needs k_users <= n_antennas")
-    if h.shape[0] != s.shape[0]:
-        raise ValueError(
-            f"channel serves {h.shape[0]} users, symbols address {s.shape[0]}"
-        )
-    gram = h @ h.conj().T
+    if h.shape[-2] != s.shape[-2]:
+        raise ValueError(f"channel serves {h.shape[-2]} users, symbols "
+                         f"address {s.shape[-2]}")
+    adjoint = h.conj().swapaxes(-1, -2)
+    gram = h @ adjoint
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
+    unusable = ~np.isfinite(cond) | (cond > 1e12)
+    if unusable.any():
         raise SingularChannelError(
-            f"channel rows are (numerically) dependent, cond(H H^H) = {cond:.3e}"
+            "channel rows are (numerically) dependent, cond(H H^H) = "
+            f"{cond[np.argmax(unusable)]:.3e}"
         )
-    target = h.conj().T @ np.linalg.solve(gram, s)
-    return vec(target)
+    # vec of each slice, its columns stacked
+    return (adjoint @ np.linalg.solve(gram, s)).swapaxes(-1, -2).reshape(
+        len(h), -1)
 
 
 def lower_bound(
@@ -485,10 +498,12 @@ def _iterate(specs: list) -> list:
     order given; an empty stack gives [].
 
     The specs must share N, L and max_iterations.  Rows that hold the
-    same channel and symbol objects share one zero-forcing target.  A
-    row ends after max_iterations, earlier when it stops certified, or
-    at iteration 0 when epsilon = 0 pins it to the reference.  The one
-    loop here alone builds results and decides cuts.  Each pass takes
+    same channel and symbol objects share one zero-forcing target, and
+    the distinct pairs of one user count get theirs from one call of
+    :func:`_zero_forcing_targets`.  A row ends after max_iterations,
+    earlier when it stops certified, or at iteration 0 when epsilon = 0
+    pins it to the reference.  The one loop here alone builds results
+    and decides cuts.  Each pass takes
     the rows that ended (first the pinned rows, then those that ended
     the last stretch of :func:`_advance`) and builds their SolveResults
     from their iterates, duals, residual histories and rho trajectories;
@@ -510,8 +525,18 @@ def _iterate(specs: list) -> list:
     if not specs:
         return []
     keys = [(id(s.channel), id(s.symbols)) for s in specs]
-    targets = {key: lift(zero_forcing_target(s.channel, s.symbols))
-               for key, s in dict(zip(keys, specs)).items()}
+    pairs = dict(zip(keys, specs))
+    targets = {}
+    # one stacked call over the distinct pairs of each user count
+    for users in dict.fromkeys(s.channel.k_users for s in pairs.values()):
+        group = [key for key, s in pairs.items()
+                 if s.channel.k_users == users]
+        stacked = _zero_forcing_targets(
+            np.array([pairs[key].channel.matrix for key in group]),
+            np.array([pairs[key].symbols.symbols for key in group]))
+        # the real lifting [Re; Im] of each row
+        targets.update(zip(group, np.concatenate(
+            (stacked.real, stacked.imag), axis=-1)))
     x_bar_comm = np.array([targets[key] for key in keys])
     n_rows = len(specs)
     n_antennas, n_total = specs[0].reference.n_antennas, specs[0].n_total

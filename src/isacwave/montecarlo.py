@@ -35,6 +35,18 @@ than the first batch, more than 256 (_CHUNK_ROWS) or past the budget.
 A point absorbs rows in trial order, so the batch sizes decide only
 how many rows are computed and discarded.
 
+SER decisions.  A QPSK decision reads only the signs of the two parts
+of a received value, so noise can change the decision on a clean value
+c only where fl(sd r) >= min(|Re c|, |Im c|), its distance to the axes,
+with sd = sqrt(sigma2) and r the symbol's Box-Muller radius.  Only such
+a symbol computes its angle, its noise and a new decision; every other
+one keeps the decision on c.  This is exact: the noise parts are
+fl(sd fl(r cos)) and fl(sd fl(r sin)), and with |fl(cos)|, |fl(sin)|
+<= 1 and rounding monotone both are at most fl(sd r) in magnitude, so
+below the margin c + noise keeps the signs of both parts of c (a
+nonzero exact sum of two doubles never rounds to zero).  Every noise
+word is still drawn, so the stream layout is unchanged.
+
 SNR convention.  With "zf-normalized" (the default) each trial rescales
 the drawn channel so the zero-forcing block has exactly unit energy.
 The designed block then spends its unit energy budget against a noise
@@ -63,7 +75,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, kpi
-from .admm import ProblemSpec, papr_cap, solve, zero_forcing_target
+from .admm import ProblemSpec, _zero_forcing_targets, papr_cap, solve
 from .signal_model import (
     ChannelRealization,
     SymbolBlock,
@@ -242,6 +254,24 @@ def _words(base_seed: int, trials: range, n_words: int, purpose: int,
     return words.reshape(len(trials), -1)[:, :n_words]
 
 
+def _radii(words: np.ndarray) -> np.ndarray:
+    """Box-Muller radii sqrt(-ln u1) of the 53-bit uniforms u1 in (0, 1]
+    from ``words``."""
+    # every transform reads a new contiguous array: numpy's log of a
+    # strided view can differ in the last bit from its contiguous log
+    return np.sqrt(-np.log(((words >> 11) + 1) * _UNIFORM_STEP))
+
+
+def _polar(radius: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """radius exp(2 pi j u2), with u2 in [0, 1) the 53-bit uniforms from
+    ``words``, which has the shape of ``radius``."""
+    angle = (words >> 11) * (2.0 * math.pi * _UNIFORM_STEP)
+    normals = np.empty(radius.shape, dtype=complex)
+    normals.real = radius * np.cos(angle)
+    normals.imag = radius * np.sin(angle)
+    return normals
+
+
 def _complex_normals(words: np.ndarray) -> np.ndarray:
     """Unit-variance complex normals from rows of 2n words, n per row.
 
@@ -251,14 +281,7 @@ def _complex_normals(words: np.ndarray) -> np.ndarray:
     Box and Muller's two independent standard normals over sqrt(2).
     """
     n = words.shape[1] // 2
-    # every transform reads a new contiguous array: numpy's log of a
-    # strided view can differ in the last bit from its contiguous log
-    radius = np.sqrt(-np.log(((words[:, :n] >> 11) + 1) * _UNIFORM_STEP))
-    angle = (words[:, n:] >> 11) * (2.0 * math.pi * _UNIFORM_STEP)
-    normals = np.empty(radius.shape, dtype=complex)
-    normals.real = radius * np.cos(angle)
-    normals.imag = radius * np.sin(angle)
-    return normals
+    return _polar(_radii(words[:, :n]), words[:, n:])
 
 
 def _channels(cfg: ExperimentConfig, trials: range) -> np.ndarray:
@@ -282,15 +305,23 @@ def _symbols(cfg: ExperimentConfig, trials: range) -> np.ndarray:
     return points[index].reshape(len(trials), *shape)
 
 
-def _normalized(channel: ChannelRealization, symbols: SymbolBlock,
-                snr_convention: str) -> ChannelRealization:
-    """The channel under ``snr_convention``: as drawn under "raw", and
-    rescaled under "zf-normalized" so the zero-forcing block has unit
-    energy."""
+def _normalized(channels: np.ndarray, symbols: np.ndarray,
+                snr_convention: str) -> np.ndarray:
+    """A stack of (K, N) channels under ``snr_convention``: as drawn
+    under "raw", and each rescaled under "zf-normalized" so that its
+    zero-forcing block for its (K, L) symbols has unit energy."""
     if snr_convention == "zf-normalized":
-        scale = float(np.linalg.norm(zero_forcing_target(channel, symbols)))
-        channel = ChannelRealization(channel.matrix * scale)
-    return channel
+        scales = _norms(_zero_forcing_targets(channels, symbols))
+        channels = channels * scales[:, None, None]
+    return channels
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """The norm of each row of a complex (T, n) array, as np.linalg.norm
+    takes it of the row alone: from the dot products of its real and of
+    its imaginary parts."""
+    return np.sqrt(np.vecdot(vectors.real, vectors.real)
+                   + np.vecdot(vectors.imag, vectors.imag))
 
 
 def draw_instance(n_antennas: int, k_users: int, n_samples: int,
@@ -309,18 +340,23 @@ def draw_instance(n_antennas: int, k_users: int, n_samples: int,
     channel = draw_channel(k_users, n_antennas, rng_seed=channel_seed)
     symbols = draw_symbols(k_users, n_samples, constellation,
                            rng_seed=symbol_seed)
-    return _normalized(channel, symbols, snr_convention), symbols
+    [matrix] = _normalized(channel.matrix[None], symbols.symbols[None],
+                           snr_convention)
+    return ChannelRealization(matrix), symbols
+
+
+def _trial_draws(cfg: ExperimentConfig, trials: range) -> tuple:
+    """The (T, K, N) channels and (T, K, L) symbols of a chunk of trials,
+    the channels rescaled under cfg.snr_convention."""
+    channels, symbols = _channels(cfg, trials), _symbols(cfg, trials)
+    return _normalized(channels, symbols, cfg.snr_convention), symbols
 
 
 def _trial_instances(cfg: ExperimentConfig, trials: range) -> list:
     """The (channel, symbols) design instance of each trial, its channel
     rescaled under cfg.snr_convention."""
-    instances = []
-    for matrix, block in zip(_channels(cfg, trials), _symbols(cfg, trials)):
-        symbols = SymbolBlock(block)
-        instances.append((_normalized(ChannelRealization(matrix), symbols,
-                                      cfg.snr_convention), symbols))
-    return instances
+    return [(ChannelRealization(matrix), SymbolBlock(block))
+            for matrix, block in zip(*_trial_draws(cfg, trials))]
 
 
 def _solve_trials(cfg: ExperimentConfig, grid, early_stop: bool, measure,
@@ -476,13 +512,13 @@ def _designed_rate(noise_variance: float, channel, symbols, result) -> float:
 
 def _zero_mui_rate_trials(cfg: ExperimentConfig, noise_variance: float,
                           trials: range) -> list:
-    rates = []
-    for channel, symbols in _trial_instances(cfg, trials):
-        target = zero_forcing_target(channel, symbols)
-        target = unvec(target / np.linalg.norm(target), cfg.n_antennas)
-        rates.append(_rate_from_block(channel, target, symbols,
-                                      noise_variance))
-    return rates
+    # each trial sends the unit-energy zero-forcing block of its channel
+    channels, symbols = _trial_draws(cfg, trials)
+    targets = _zero_forcing_targets(channels, symbols)
+    blocks = targets / _norms(targets)[:, None]
+    return [_rate_from_block(channel, unvec(block, cfg.n_antennas), sent,
+                             noise_variance)
+            for channel, block, sent in zip(channels, blocks, symbols)]
 
 
 def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
@@ -548,25 +584,34 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
     blocks and sent symbols as (T, K, L) arrays, in the order of
     ``trials``.  Open point p of trial t adds noise from its own stream
     (t, p, series) to the noiseless block and counts detections that
-    differ from the detected sent symbols.  A point closed at batch
-    start draws no noise and counts 0: ``_accumulate_ser`` never reads
-    its count, and every point draws from its own stream, so skipping
-    one leaves the others' noise unchanged.
+    differ from the detected sent symbols.  Both blocks are detected
+    once; at each point only a symbol whose noise bound sqrt(sigma2) *
+    radius reaches its clean value's distance to the decision boundary
+    gets its angle, its noise and a new decision, and every other symbol
+    keeps the clean block's decision, which is exact (see "SER
+    decisions" in the module docstring).  A point closed at batch start
+    draws no noise and counts 0: ``_accumulate_ser`` never reads its
+    count, and every point draws from its own stream, so skipping one
+    leaves the others' noise unchanged.
     Returns a (T, P) array of counts.
     """
-    transmitted = detect_qpsk(sent)
-    points = np.flatnonzero(open_points)
-    size = math.prod(sent.shape[1:])
-    noise = np.empty((len(trials), points.size, size), dtype=complex)
-    for j, p in enumerate(points):
+    transmitted = detect_qpsk(sent).reshape(len(trials), -1)
+    clean = received_clean.reshape(len(trials), -1)
+    decided = detect_qpsk(clean)
+    # the distance of each clean value to the decision boundary, the axes
+    margin = np.minimum(np.abs(clean.real), np.abs(clean.imag))
+    size = clean.shape[1]
+    counts = np.zeros((len(trials), len(sigma2s)), dtype=np.int64)
+    for p in np.flatnonzero(open_points):
         words = _words(cfg.base_seed, trials, 2 * size, _PURPOSE_NOISE,
                        int(p), series)
-        noise[:, j] = math.sqrt(sigma2s[p]) * _complex_normals(words)
-    detected = detect_qpsk(received_clean[:, None]
-                           + noise.reshape(noise.shape[:2] + sent.shape[1:]))
-    counts = np.zeros((len(trials), len(sigma2s)), dtype=np.int64)
-    counts[:, points] = np.count_nonzero(detected != transmitted[:, None],
-                                         axis=(2, 3))
+        sd = math.sqrt(sigma2s[p])
+        radius = _radii(words[:, :size])
+        near = sd * radius >= margin
+        detected = decided.copy()
+        detected[near] = detect_qpsk(
+            clean[near] + sd * _polar(radius[near], words[:, size:][near]))
+        counts[:, p] = np.count_nonzero(detected != transmitted, axis=1)
     return counts
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from isacwave.signal_model import (
     chirp_reference,
     constellation_points,
     draw_symbols,
+    snr_noise_variance,
+    unvec,
 )
 
 
@@ -387,6 +390,21 @@ class TestRunSumrate:
                 == pytest.approx(b.series["eta=3.98107"][0], abs=0))
         assert a.series["eta=2.51189"][0] < math.log2(11.0) - 0.5
 
+    def test_zero_mui_blocks_are_the_per_trial_unit_blocks_bitwise(self):
+        # one chunk-wide zero-forcing call gives every trial the rate of
+        # its own unit-energy zero-forcing block, to the last bit
+        for convention in montecarlo.SNR_CONVENTIONS:
+            cfg = _cfg(snr_convention=convention, n_trials=7)
+            trials = range(3, 10)
+            want = []
+            for channel, symbols in montecarlo._trial_instances(cfg, trials):
+                target = admm.zero_forcing_target(channel, symbols)
+                block = target / np.linalg.norm(target)
+                want.append(montecarlo._rate_from_block(
+                    channel, unvec(block, cfg.n_antennas),
+                    symbols, 0.1))
+            assert montecarlo._zero_mui_rate_trials(cfg, 0.1, trials) == want
+
     def test_sem_metadata_present(self):
         table = run_sumrate(_cfg(epsilon_grid=(0.5, 1.0), n_trials=5,
                                  m_iter=80))
@@ -624,15 +642,17 @@ class TestTrialStacks:
         monkeypatch.setattr(
             montecarlo, "_channels",
             lambda cfg, trials: channels.extend(trials) or real(cfg, trials))
-        rescales = self._spy(monkeypatch, "zero_forcing_target")
-        # solve builds one target per trial, shared by its grid rows
-        targets = self._spy(monkeypatch, "zero_forcing_target", admm)
+        # the chunk's channels are rescaled in one call, and solve builds
+        # its targets in one call, one row per trial, shared by the
+        # trial's grid rows
+        rescales = self._spy(monkeypatch, "_zero_forcing_targets")
+        targets = self._spy(monkeypatch, "_zero_forcing_targets", admm)
         n_trials = 5
         run_ccdf(_cfg(rho_grid=(0.5, 1.0), eta_grid_db=(3.0, 4.8),
                       n_trials=n_trials, m_iter=20))
         assert channels == list(range(n_trials))
-        assert len(rescales) == n_trials
-        assert len(targets) == n_trials
+        assert [len(h) for h in rescales] == [n_trials]
+        assert [len(h) for h in targets] == [n_trials]
 
     def test_a_stack_holds_at_most_a_chunk_of_trials(self, monkeypatch):
         # a trial's rows stay in one stack, so a chunk holds whole trials
@@ -677,7 +697,15 @@ class TestTrialStacks:
         streams = self._noise_streams(monkeypatch)
         counts = montecarlo._ser_counts(cfg, sigma2s, open_points, trials,
                                         received, sent, series)
-        assert len(detections) == 2
+        # the sent and the clean block once each, then at most one call
+        # per open point with the symbols its noise can flip, none of them
+        # on one trial's block
+        np.testing.assert_array_equal(
+            np.reshape(detections[0], sent.shape), sent)
+        np.testing.assert_array_equal(
+            np.reshape(detections[1], received.shape), received)
+        assert len(detections) <= 2 + np.count_nonzero(open_points)
+        assert all(np.shape(d) != sent.shape[1:] for d in detections)
         # the closed point builds no stream and counts 0
         assert sorted(streams) == [(trial, p, series) for trial in trials
                                    for p in (0, 1, 3)]
@@ -719,6 +747,137 @@ class TestTrialStacks:
                 run += len(batch)
             assert sum(key[-1] == series for key in streams) == want
         assert len(streams) < run * len(table.axis_values)
+
+
+def _ser_counts_per_symbol(cfg, sigma2s, open_points, trials, received_clean,
+                           sent, series):
+    """_ser_counts with every symbol's noise and decision: the whole
+    complex noise of each open point from its stream, and detect_qpsk on
+    every noisy symbol."""
+    size = math.prod(sent.shape[1:])
+    counts = np.zeros((len(trials), len(sigma2s)), dtype=np.int64)
+    for p in np.flatnonzero(open_points):
+        words = montecarlo._words(cfg.base_seed, trials, 2 * size,
+                                  montecarlo._PURPOSE_NOISE, int(p), series)
+        noise = math.sqrt(sigma2s[p]) * montecarlo._complex_normals(words)
+        counts[:, p] = np.count_nonzero(
+            detect_qpsk(received_clean + noise.reshape(sent.shape))
+            != detect_qpsk(sent), axis=(1, 2))
+    return counts
+
+
+_QPSK = constellation_points("qpsk")
+# clean values, as multiples of a sent symbol s or of the noise bound b of
+# one open point: s scaled on its own side or across both axes, a zero
+# part, a part close to an axis, or a part at exactly -b whose noise is
+# exactly +b, the tie of the margin rule
+_CLEAN_KINDS = ("inside", "wrong_quadrant", "zero_real", "zero_imag", "zero",
+                "near_real_axis", "tie_real", "tie_imag")
+# angle words on an axis: u2 = 0 is angle 0, whose cosine is 1 and sine 0;
+# u2 = 1/4 is angle fl(pi/2), whose sine is 1
+_ANGLE_ON_AXIS = {"tie_real": 0, "tie_imag": 1 << 62}
+
+
+@st.composite
+def _ser_chunks(draw):
+    """A chunk of SER trials for _ser_counts: its config, SNR points and
+    open mask, trials, clean and sent blocks and series, and the angle
+    words that put some noise exactly on an axis."""
+    n_trials, k, n_samples = (draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                              draw(st.integers(1, 6)))
+    snr_db = draw(st.lists(st.floats(-6.0, 24.0), min_size=1, max_size=4))
+    open_points = np.array(draw(st.lists(
+        st.booleans(), min_size=len(snr_db), max_size=len(snr_db))))
+    series = draw(st.sampled_from((montecarlo._SERIES_DESIGNED,
+                                   montecarlo._SERIES_ZERO_MUI)))
+    cfg = _cfg(base_seed=draw(st.integers(0, 2 ** 64 - 1)), k_users=k,
+               n_samples=n_samples, snr_grid_db=tuple(snr_db))
+    sigma2s = tuple(map(snr_noise_variance, snr_db))
+    start = draw(st.integers(0, 1000))
+    trials = range(start, start + n_trials)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = k * n_samples
+    sent = _QPSK[rng.integers(0, 4, (n_trials, size))]
+    angles = {}
+    if series == montecarlo._SERIES_ZERO_MUI:
+        # _ser_zero_mui_trials passes its sent block as the clean block
+        return (cfg, sigma2s, open_points, trials, sent.reshape(
+            n_trials, k, n_samples), sent.reshape(n_trials, k, n_samples),
+            series, angles)
+    kinds = draw(st.lists(st.sampled_from(_CLEAN_KINDS),
+                          min_size=n_trials * size,
+                          max_size=n_trials * size))
+    clean = np.empty_like(sent)
+    for index, kind in enumerate(kinds):
+        t, i = divmod(index, size)
+        s, g = sent[t, i], rng.uniform(0.05, 2.0)
+        if kind in _ANGLE_ON_AXIS and open_points.any():
+            p = int(draw(st.sampled_from(np.flatnonzero(open_points))))
+            words = montecarlo._words(cfg.base_seed, trials, 2 * size,
+                                      montecarlo._PURPOSE_NOISE, p, series)
+            radius = np.sqrt(-np.log(((words[t, i:i + 1] >> 11) + 1)
+                                     * 2.0 ** -53))[0]
+            bound = math.sqrt(sigma2s[p]) * radius
+            # the tie sits on the sent symbol's negative part, where noise
+            # of exactly +b lands on the axis and flips the decision
+            if kind == "tie_real":
+                sent[t, i], clean[t, i] = _QPSK[2], complex(-bound,
+                                                            2 * bound + 1)
+            else:
+                sent[t, i], clean[t, i] = _QPSK[1], complex(2 * bound + 1,
+                                                            -bound)
+            angles.setdefault(p, []).append((t, size + i,
+                                             _ANGLE_ON_AXIS[kind], kind,
+                                             bound))
+        elif kind == "wrong_quadrant":
+            clean[t, i] = -s * rng.uniform(0.05, 50.0)
+        elif kind == "zero_real":
+            clean[t, i] = complex(0.0, g * s.imag)
+        elif kind == "zero_imag":
+            clean[t, i] = complex(g * s.real, -0.0)
+        elif kind == "zero":
+            clean[t, i] = 0.0
+        elif kind == "near_real_axis":
+            clean[t, i] = complex(5.0 * g * s.real, 1e-3 * g * s.imag)
+        else:
+            clean[t, i] = g * s
+    shape = (n_trials, k, n_samples)
+    return (cfg, sigma2s, open_points, trials, clean.reshape(shape),
+            sent.reshape(shape), series, angles)
+
+
+class TestSerDecisions:
+    @settings(max_examples=150, deadline=None)
+    @given(chunk=_ser_chunks())
+    def test_ser_counts_equal_the_per_symbol_decisions(self, chunk):
+        (cfg, sigma2s, open_points, trials, clean, sent, series,
+         angles) = chunk
+        real = montecarlo._words
+
+        def words(base_seed, trials, n_words, purpose, point=0, series=0):
+            drawn = real(base_seed, trials, n_words, purpose, point,
+                         series).copy()
+            for t, column, word, _, _ in angles.get(point, ()):
+                drawn[t, column] = word
+            return drawn
+
+        with mock.patch.object(montecarlo, "_words", words):
+            # each tie's noise is exactly its bound, on its axis
+            size = math.prod(sent.shape[1:])
+            for p, placed in angles.items():
+                noise = math.sqrt(sigma2s[p]) * montecarlo._complex_normals(
+                    words(cfg.base_seed, trials, 2 * size,
+                          montecarlo._PURPOSE_NOISE, p, series))
+                for t, column, _, kind, bound in placed:
+                    value = noise[t, column - size]
+                    assert (value.real if kind == "tie_real"
+                            else value.imag) == bound
+            got = montecarlo._ser_counts(cfg, sigma2s, open_points, trials,
+                                         clean, sent, series)
+            want = _ser_counts_per_symbol(cfg, sigma2s, open_points, trials,
+                                          clean, sent, series)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
 
 
 def _accumulate_ser_per_row(chunk_fn, n_points, symbols_per_trial):

@@ -384,6 +384,15 @@ def test_a_stack_of_chunk_size_is_its_rows_solved_apart():
         _assert_same(stacked[i], solve(specs[i]))
 
 
+
+def test_rows_of_mixed_user_counts_share_a_stack():
+    # the zero-forcing targets of each user count come from their own
+    # stacked call; the rows still come out as they do alone
+    specs = [_spec(4, k, 8, seed, epsilon=1.0, eta=2.0, max_iterations=40)
+             for seed, k in enumerate((2, 1, 2, 3, 1))]
+    for stacked, spec in zip(solve(specs), specs):
+        _assert_same(stacked, solve(spec))
+
 def _zf_spec(seed, **kw):
     """A zf-normalized instance on 4 x 16 blocks serving 2 users."""
     channel, symbols = montecarlo.draw_instance(

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from isacwave import admm
 from isacwave.admm import (
     ProblemSpec,
     SingularChannelError,
@@ -18,8 +20,10 @@ from isacwave.signal_model import (
     SymbolBlock,
     chirp_reference,
     draw_channel,
+    constellation_points,
     draw_symbols,
     unvec,
+    vec,
 )
 
 N, K, L = 4, 2, 16
@@ -207,6 +211,56 @@ class TestZeroForcingTarget:
         symbols = draw_symbols(K + 1, L, "qpsk", rng_seed=3)
         with pytest.raises(ValueError):
             zero_forcing_target(channel, symbols)
+
+
+def _stack(seed, t, k, n, n_samples):
+    """t random (K, N) channels and (K, L) QPSK blocks."""
+    rng = np.random.default_rng(seed)
+    shape = (t, k, n)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s = constellation_points("qpsk")[rng.integers(0, 4, (t, k, n_samples))]
+    return h, s
+
+
+class TestStackedZeroForcing:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(1, 6),
+           n=st.integers(1, 6), k_share=st.floats(0.0, 1.0),
+           n_samples=st.sampled_from((1, 2, 5, 16)))
+    @example(seed=0, t=3, n=4, k_share=1.0, n_samples=16)  # K = N
+    @example(seed=1, t=2, n=5, k_share=0.0, n_samples=1)  # K = L = 1
+    def test_each_row_is_its_pair_alone_bitwise(self, seed, t, n, k_share,
+                                                n_samples):
+        k = 1 + round(k_share * (n - 1))
+        h, s = _stack(seed, t, k, n, n_samples)
+        got = admm._zero_forcing_targets(h, s)
+        assert got.shape == (t, n * n_samples)
+        for row, channel, symbols in zip(got, h, s):
+            alone = zero_forcing_target(ChannelRealization(channel),
+                                        SymbolBlock(symbols))
+            np.testing.assert_array_equal(row, alone)
+            # the formula applied to the pair as 2-D arrays
+            adjoint = channel.conj().T
+            np.testing.assert_array_equal(row, vec(
+                adjoint @ np.linalg.solve(channel @ adjoint, symbols)))
+
+    @pytest.mark.parametrize("singular", [[0], [2], [1, 3]])
+    def test_a_rank_deficient_row_raises_with_its_cond(self, singular):
+        h, s = _stack(4, 4, 2, 4, 8)
+        for j in singular:
+            # the second user nearly repeats the first, so cond is large,
+            # finite and different in every such row
+            h[j, 1] = h[j, 0] + 1e-9 * h[j, 1]
+        first = singular[0]
+        cond = np.linalg.cond(h[first] @ h[first].conj().T)
+        assert 1e12 < cond < np.inf
+        with pytest.raises(SingularChannelError) as alone:
+            zero_forcing_target(ChannelRealization(h[first]),
+                                SymbolBlock(s[first]))
+        assert f"dependent, cond(H H^H) = {cond:.3e}" in str(alone.value)
+        with pytest.raises(SingularChannelError) as stacked:
+            admm._zero_forcing_targets(h, s)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestSolve:
