@@ -8,9 +8,11 @@ SINR is
     SINR_k = 1 / ( (1/L) * ||row k of (H X - S)||^2 + noise_variance )
 
 so the interference term is the per-sample interference energy of that
-user.  Radar metrics compare the block against the reference chirp:
-Euclidean distance to x0 and the peak-to-average power ratio of the
-vectorized block.  dB values are power ratios, 10*log10.
+user.  sinr_per_user also takes stacks of instances on leading axes,
+so a sweep evaluates a whole chunk of trials in one call.  Radar
+metrics compare the block against the reference chirp: Euclidean
+distance to x0 and the peak-to-average power ratio of the vectorized
+block.  dB values are power ratios, 10*log10.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ def _as_array(obj) -> np.ndarray:
 
 
 def _interference(channel, waveform, symbols) -> np.ndarray:
-    """The residual H X - S, after checking that the shapes agree."""
+    """The residual H X - S, after checking that the shapes of the last
+    two axes agree; leading axes broadcast as stacks."""
     h = _as_array(channel)
     x = _as_array(waveform)
     s = _as_array(symbols)
-    if h.shape[1] != x.shape[0] or h.shape[0] != s.shape[0] or x.shape[1] != s.shape[1]:
+    if (h.shape[-1] != x.shape[-2] or h.shape[-2] != s.shape[-2]
+            or x.shape[-1] != s.shape[-1]):
         raise ValueError(
             f"inconsistent shapes: H {h.shape}, X {x.shape}, S {s.shape}"
         )
@@ -51,12 +55,14 @@ def sinr_per_user(channel, waveform, symbols, noise_variance: float) -> np.ndarr
     """Per-user SINR under a unit-average-energy constellation.
 
     Interference is measured per user as the time-averaged energy of
-    row k of (H X - S); the numerator is the unit symbol energy.
+    row k of (H X - S); the numerator is the unit symbol energy.  Stacks
+    of instances on leading axes give the stack of their (..., K) SINRs,
+    each equal to that instance's alone.
     """
     if not noise_variance > 0:
         raise ValueError("noise_variance must be > 0")
     residual = _interference(channel, waveform, symbols)
-    per_user_mui = np.sum(np.abs(residual) ** 2, axis=1) / residual.shape[1]
+    per_user_mui = np.sum(np.abs(residual) ** 2, axis=-1) / residual.shape[-1]
     return 1.0 / (per_user_mui + noise_variance)
 
 

@@ -6,10 +6,13 @@ the results into a CurveTable of named series over a fixed axis.  The
 designs are solved in stacks of up to 256 rows (trials x grid points),
 at least one stack per worker process; a ccdf sweep draws each trial
 once and designs it at every (rho, eta) point within one stack, while
-the rate and SER sweeps stack one grid point at a time.  The rate and
-SER designs stop once feasible and certified optimal; the ccdf designs
-run the whole m_iter budget, since that experiment compares penalty
-weights at one budget.  Before it starts a worker pool, the parent
+the rate and SER sweeps stack one grid point at a time.  A chunk of
+trials stays arrays from its draw to its table: its channels, symbols
+and designed blocks are stacked arrays, a measure maps them to one
+array of per-trial results, and the chunks' arrays are concatenated in
+trial order.  The rate and SER designs stop once feasible and
+certified optimal; the ccdf designs run the whole m_iter budget, since
+that experiment compares penalty weights at one budget.  Before it starts a worker pool, the parent
 imports numpy.random (numpy imports it on first use), so the forked
 workers inherit it instead of each importing it.
 
@@ -84,7 +87,6 @@ from .signal_model import (
     draw_channel,
     draw_symbols,
     snr_noise_variance,
-    unvec,
 )
 
 SNR_CONVENTIONS = ("zf-normalized", "raw")
@@ -345,6 +347,13 @@ def draw_instance(n_antennas: int, k_users: int, n_samples: int,
     return ChannelRealization(matrix), symbols
 
 
+def _unvec(vecs: np.ndarray, n_antennas: int) -> np.ndarray:
+    """The (..., N, L) blocks of the column-major vecs on the last axis,
+    each laid out in memory as signal_model.unvec lays out one block, so
+    that a product with a stack of them equals each block's bitwise."""
+    return vecs.reshape(*vecs.shape[:-1], -1, n_antennas).swapaxes(-1, -2)
+
+
 def _trial_draws(cfg: ExperimentConfig, trials: range) -> tuple:
     """The (T, K, N) channels and (T, K, L) symbols of a chunk of trials,
     the channels rescaled under cfg.snr_convention."""
@@ -352,30 +361,29 @@ def _trial_draws(cfg: ExperimentConfig, trials: range) -> tuple:
     return _normalized(channels, symbols, cfg.snr_convention), symbols
 
 
-def _trial_instances(cfg: ExperimentConfig, trials: range) -> list:
-    """The (channel, symbols) design instance of each trial, its channel
-    rescaled under cfg.snr_convention."""
-    return [(ChannelRealization(matrix), SymbolBlock(block))
-            for matrix, block in zip(*_trial_draws(cfg, trials))]
-
-
 def _solve_trials(cfg: ExperimentConfig, grid, early_stop: bool, measure,
-                  trials: range) -> list:
+                  trials: range) -> np.ndarray:
     """Draw a chunk of trials once and design each at every entry of
     ``grid``, a sequence of (epsilon, eta, rho), all as one stack.
 
     Every design keeps its rho_grid entry as its penalty weight for the
     whole solve.  With ``early_stop`` a design ends once it is feasible
     and certified optimal; without it every design runs the m_iter
-    budget.  Returns, per trial, ``measure(channel, symbols,
-    SolveResult)`` of its design at each grid entry, in grid order.
+    budget.  Returns ``measure(channels, symbols, blocks)`` of the
+    chunk's (T, K, N) channels, (T, K, L) symbols and (T, G, N, L)
+    designed blocks, trial t's design at grid entry g at [t, g]: an
+    array whose first axis holds the trials.
     """
-    instances = _trial_instances(cfg, trials)
+    channels, symbols = _trial_draws(cfg, trials)
     reference = chirp_reference(cfg.n_antennas, cfg.n_samples)
-    results = iter(solve([
+    # one instance per trial, shared by its grid rows, so that solve
+    # computes one zero-forcing target per trial
+    instances = [(ChannelRealization(matrix), SymbolBlock(block))
+                 for matrix, block in zip(channels, symbols)]
+    results = solve([
         ProblemSpec(
             channel=channel,
-            symbols=symbols,
+            symbols=block,
             reference=reference,
             epsilon=epsilon,
             eta=eta,
@@ -387,11 +395,12 @@ def _solve_trials(cfg: ExperimentConfig, grid, early_stop: bool, measure,
             rho_schedule="fixed",
             early_stop=early_stop,
         )
-        for channel, symbols in instances
+        for channel, block in instances
         for epsilon, eta, rho in grid
-    ]))
-    return [[measure(channel, symbols, next(results)) for _ in grid]
-            for channel, symbols in instances]
+    ])
+    vecs = np.stack([result.waveform.vec for result in results])
+    blocks = _unvec(vecs.reshape(len(trials), len(grid), -1), cfg.n_antennas)
+    return measure(channels, symbols, blocks)
 
 
 def _worker_count(threads) -> int:
@@ -403,16 +412,17 @@ def _worker_count(threads) -> int:
     return int(threads)
 
 
-def _map_trials(fn, trials: range, threads: int, grid_size: int = 1) -> list:
-    """Per-trial results of ``fn``, which maps a chunk of trial indices
-    to one result per trial, designing each trial at ``grid_size`` grid
-    points.
+def _map_trials(fn, trials: range, threads: int,
+                grid_size: int = 1) -> np.ndarray:
+    """The arrays of ``fn``, which maps a chunk of trial indices to an
+    array whose first axis holds the chunk's trials, designing each
+    trial at ``grid_size`` grid points, concatenated in trial order.
 
     Each call gets a contiguous chunk of whole trials, a range, at most
     _CHUNK_ROWS rows (trials x grid points) but at least one trial, one
     or more chunks per worker process, and the pool starts no more
-    workers than there are chunks.  Results come back in trial order and
-    do not depend on the chunking.
+    workers than there are chunks.  The result does not depend on the
+    chunking.
     """
     threads = _worker_count(threads)
     size = max(1, min(_CHUNK_ROWS // grid_size,
@@ -420,12 +430,12 @@ def _map_trials(fn, trials: range, threads: int, grid_size: int = 1) -> list:
     chunks = [trials[i:i + size] for i in range(0, len(trials), size)]
     workers = min(threads, len(chunks))
     if workers <= 1:
-        return [row for chunk in chunks for row in fn(chunk)]
+        return np.concatenate([fn(chunk) for chunk in chunks])
     # numpy imports numpy.random on first use; imported here, it is
     # inherited by every forked worker instead of imported by each
     import numpy.random  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(fn, chunks) for row in rows]
+        return np.concatenate(list(pool.map(fn, chunks)))
 
 
 def detect_qpsk(received) -> np.ndarray:
@@ -470,8 +480,11 @@ def _labelled(pairs) -> dict:
 
 # --- experiment 1: PAPR CCDF over (rho, eta) --------------------------------
 
-def _papr_db(channel, symbols, result) -> float:
-    return kpi.papr_db(result.waveform.vec)
+def _papr_db(channels, symbols, blocks) -> np.ndarray:
+    """The (T, G) PAPRs of a chunk's blocks, each of its column-major
+    vec."""
+    vecs = blocks.swapaxes(-1, -2).reshape(*blocks.shape[:2], -1)
+    return np.apply_along_axis(kpi.papr_db, -1, vecs)
 
 
 def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
@@ -486,8 +499,7 @@ def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
                      for rho in cfg.rho_grid for eta in cfg.eta_grid)
     # the experiment compares penalty weights at one iteration budget
     fn = partial(_solve_trials, cfg, list(grid.values()), False, _papr_db)
-    samples = np.array(_map_trials(fn, range(cfg.n_trials), threads,
-                                   len(grid)))
+    samples = _map_trials(fn, range(cfg.n_trials), threads, len(grid))
     series = {label: kpi.ccdf(samples[:, j], _GAMMA_GRID_DB)
               for j, label in enumerate(grid)}
     return CurveTable(
@@ -500,25 +512,22 @@ def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
 
 # --- experiment 2: per-user rate over (epsilon, eta) ------------------------
 
-def _rate_from_block(channel, block, symbols, noise_variance: float) -> float:
-    sinr = kpi.sinr_per_user(channel, block, symbols, noise_variance)
-    return float(np.mean(np.log2(1.0 + sinr)))
-
-
-def _designed_rate(noise_variance: float, channel, symbols, result) -> float:
-    return _rate_from_block(channel, result.waveform.entries, symbols,
-                            noise_variance)
+def _rates(noise_variance: float, channels, symbols, blocks) -> np.ndarray:
+    """The (T, G) per-user rates log2(1 + SINR), averaged over the
+    users, of a chunk's (T, G, N, L) blocks over their trials'
+    channels."""
+    sinr = kpi.sinr_per_user(channels[:, None], blocks, symbols[:, None],
+                             noise_variance)
+    return np.mean(np.log2(1.0 + sinr), axis=-1)
 
 
 def _zero_mui_rate_trials(cfg: ExperimentConfig, noise_variance: float,
-                          trials: range) -> list:
+                          trials: range) -> np.ndarray:
     # each trial sends the unit-energy zero-forcing block of its channel
     channels, symbols = _trial_draws(cfg, trials)
     targets = _zero_forcing_targets(channels, symbols)
-    blocks = targets / _norms(targets)[:, None]
-    return [_rate_from_block(channel, unvec(block, cfg.n_antennas), sent,
-                             noise_variance)
-            for channel, block, sent in zip(channels, blocks, symbols)]
+    blocks = _unvec(targets / _norms(targets)[:, None], cfg.n_antennas)
+    return _rates(noise_variance, channels, symbols, blocks[:, None])[:, 0]
 
 
 def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
@@ -549,8 +558,8 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
         # request until its revision (ROADMAP item 4)
         for j, epsilon in enumerate(axis):
             fn = partial(_solve_trials, cfg, [(float(epsilon), eta, rho)],
-                         True, partial(_designed_rate, noise_variance))
-            per_trial = [rate for [rate] in _map_trials(fn, trials, threads)]
+                         True, partial(_rates, noise_variance))
+            per_trial = _map_trials(fn, trials, threads)[:, 0]
             rates[j] = np.mean(per_trial)
             errs[j] = _sem(per_trial)
         series[label] = rates
@@ -615,19 +624,15 @@ def _ser_counts(cfg: ExperimentConfig, sigma2s: tuple,
     return counts
 
 
-def _received_block(channel, symbols, result) -> tuple:
-    """The noiseless received block H X and the sent symbols S."""
-    return channel.matrix @ result.waveform.entries, symbols.symbols
-
-
 def _ser_designed_trials(cfg: ExperimentConfig, epsilon: float, eta: float,
                          rho: float, sigma2s: tuple, open_points: np.ndarray,
                          trials: range) -> np.ndarray:
-    rows = _solve_trials(cfg, [(epsilon, eta, rho)], True, _received_block,
-                         trials)
-    received, sent = map(np.stack, zip(*(block for [block] in rows)))
-    return _ser_counts(cfg, sigma2s, open_points, trials, received, sent,
-                       _SERIES_DESIGNED)
+    def counts(channels, symbols, blocks):
+        # the noiseless received blocks H X
+        return _ser_counts(cfg, sigma2s, open_points, trials,
+                           channels @ blocks[:, 0], symbols, _SERIES_DESIGNED)
+
+    return _solve_trials(cfg, [(epsilon, eta, rho)], True, counts, trials)
 
 
 def _ser_zero_mui_trials(cfg: ExperimentConfig, sigma2s: tuple,
@@ -665,10 +670,10 @@ def _accumulate_ser(chunk_fn, n_points: int, symbols_per_trial: int,
     """Per-point (errors, trials) under the SER stopping rule.
 
     ``chunk_fn(open_points, trials)`` maps the mask of points open at
-    batch start and a chunk of trial indices to one row of per-point
-    error counts per trial.  In trial order, an open point absorbs rows
-    up to the first that brings its errors to _MIN_ERRORS; counts of
-    points closed at batch start are never read.  The trial loop runs
+    batch start and a chunk of trial indices to a (T, P) array, one row
+    of per-point error counts per trial.  In trial order, an open point
+    absorbs rows up to the first that brings its errors to _MIN_ERRORS;
+    counts of points closed at batch start are never read.  The trial loop runs
     in batches sized by ``_ser_batch`` and ends at the symbol budget.
     Each row comes from its trial's own streams and a stacked design
     does not depend on its neighbours, so the batch sizes decide only
@@ -681,9 +686,8 @@ def _accumulate_ser(chunk_fn, n_points: int, symbols_per_trial: int,
     done = 0
     while done < cap and errors.min() < _MIN_ERRORS:
         end = min(done + _ser_batch(errors, done, workers), cap)
-        rows = np.array(_map_trials(
-            partial(chunk_fn, errors < _MIN_ERRORS), range(done, end),
-            workers))
+        rows = _map_trials(partial(chunk_fn, errors < _MIN_ERRORS),
+                           range(done, end), workers)
         # a row is absorbed while the errors before it fall short, which
         # turns away every row of a point closed at batch start
         absorbed = errors + np.cumsum(rows, axis=0) - rows < _MIN_ERRORS

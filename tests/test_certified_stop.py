@@ -143,21 +143,32 @@ def test_a_design_without_early_stop_runs_its_budget():
     assert result.certified_gap <= 1e-8
 
 
-def test_a_sweep_spec_runs_m_iter_iterations():
+def test_a_sweep_spec_runs_m_iter_iterations(monkeypatch):
     cfg = ExperimentConfig(n_antennas=N, k_users=K, n_samples=L,
                            rho_grid=(1.0,), eta_grid=(3.0,),
                            epsilon_grid=(1.0,), snr_grid_db=(10.0,),
                            n_trials=6, m_iter=300, snr_convention="raw")
-    solved = [row for [row] in montecarlo._solve_trials(
-        cfg, [(1.0, 3.0, 1.0)], False, lambda *row: row, range(6))]
-    assert [r.iterations_run for _, _, r in solved] == [300] * 6
+    # the (spec, result) of every row the sweep solves
+    solved = []
+    real = montecarlo.solve
+
+    def spy(specs):
+        results = real(specs)
+        solved.extend(zip(specs, results))
+        return results
+
+    monkeypatch.setattr(montecarlo, "solve", spy)
+    montecarlo._solve_trials(cfg, [(1.0, 3.0, 1.0)], False,
+                             lambda channels, symbols, blocks: blocks,
+                             range(6))
+    assert [r.iterations_run for _, r in solved] == [300] * 6
     # the same instances under the default certified stop end sooner
     reference = chirp_reference(N, L)
     certified = solve([
-        ProblemSpec(channel=channel, symbols=symbols, reference=reference,
-                    epsilon=1.0, eta=3.0, max_iterations=300,
-                    rho_schedule="fixed")
-        for channel, symbols, _ in solved])
+        ProblemSpec(channel=spec.channel, symbols=spec.symbols,
+                    reference=reference, epsilon=1.0, eta=3.0,
+                    max_iterations=300, rho_schedule="fixed")
+        for spec, _ in solved])
     assert min(r.iterations_run for r in certified) < 300
 
 

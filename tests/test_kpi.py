@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from isacwave import kpi
 from isacwave import signal_model as sm
@@ -50,6 +51,50 @@ def test_sinr_accounts_for_per_user_interference():
     sinr = kpi.sinr_per_user(np.eye(k), x, s, 0.5)
     # user 0 sees interference energy 1/L = 0.25, user 1 sees none
     np.testing.assert_allclose(sinr, [1.0 / 0.75, 2.0], rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5),
+       users=st.integers(1, 5), l=st.integers(1, 6),
+       stack=st.lists(st.integers(1, 3), min_size=1, max_size=2))
+@example(seed=0, n=3, users=3, l=1, stack=[2])
+def test_sinr_of_a_stack_is_each_instances_bitwise(seed, n, users, l, stack):
+    # K <= N, so K = N is included
+    k = min(users, n)
+    rng = np.random.default_rng(seed)
+
+    def complex_normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    h = complex_normal(*stack, k, n)
+    x = complex_normal(*stack, n, l)
+    s = complex_normal(*stack, k, l)
+    sinr = kpi.sinr_per_user(h, x, s, 0.1)
+    assert sinr.shape == (*stack, k)
+    for index in np.ndindex(*stack):
+        np.testing.assert_array_equal(
+            sinr[index], kpi.sinr_per_user(h[index], x[index], s[index], 0.1))
+
+
+def test_sinr_of_a_square_stack_sums_each_users_samples():
+    # with T = K = L = 2 a sum over the users would pass the shape checks
+    h = np.stack([np.eye(2, dtype=complex)] * 2)
+    x = np.zeros((2, 2, 2), dtype=complex)
+    s = np.array([[[2, 0], [2, 0]], [[1, 1], [0, 0]]], dtype=complex)
+    # per-user interference energies (2, 2) and (1, 0), plus noise 1
+    np.testing.assert_array_equal(kpi.sinr_per_user(h, x, s, 1.0),
+                                  [[1 / 3, 1 / 3], [1 / 2, 1]])
+
+
+@pytest.mark.parametrize("x_shape,s_shape", [
+    ((2, 3, 5), (2, 2, 5)),  # H's columns against X's rows
+    ((2, 4, 5), (2, 3, 5)),  # H's rows against S's rows
+    ((2, 4, 5), (2, 2, 6)),  # X's columns against S's columns
+])
+def test_sinr_of_a_stack_rejects_inconsistent_last_axes(x_shape, s_shape):
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        kpi.sinr_per_user(np.ones((2, 2, 4)), np.ones(x_shape),
+                          np.ones(s_shape), 0.1)
 
 
 def test_sinr_rejects_nonpositive_noise():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from isacwave import admm, cli, montecarlo
+from isacwave import admm, cli, kpi, montecarlo
 from isacwave.kpi import sinr_per_user
 from isacwave.montecarlo import (
     CurveTable,
@@ -26,6 +27,8 @@ from isacwave.montecarlo import (
     run_sumrate,
 )
 from isacwave.signal_model import (
+    ChannelRealization,
+    SymbolBlock,
     chirp_reference,
     constellation_points,
     draw_symbols,
@@ -293,17 +296,18 @@ class TestWorkerCount:
         # interpreter: here numpy.random is already imported
         script = textwrap.dedent("""
             import json, multiprocessing, sys
+            import numpy as np
             from isacwave import montecarlo
 
             def loaded(chunk):
-                return [("numpy.random" in sys.modules, chunk[0])
-                        for _ in chunk]
+                return np.array([("numpy.random" in sys.modules, chunk[0])
+                                 for _ in chunk], dtype=object)
 
             if __name__ == "__main__":
                 print(json.dumps({
                     "start_method": multiprocessing.get_start_method(),
                     "loaded": montecarlo._map_trials(loaded, range(4),
-                                                     threads=2)}))
+                                                     threads=2).tolist()}))
         """)
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
@@ -397,13 +401,15 @@ class TestRunSumrate:
             cfg = _cfg(snr_convention=convention, n_trials=7)
             trials = range(3, 10)
             want = []
-            for channel, symbols in montecarlo._trial_instances(cfg, trials):
-                target = admm.zero_forcing_target(channel, symbols)
+            for channel, symbols in zip(*montecarlo._trial_draws(cfg,
+                                                                 trials)):
+                target = admm.zero_forcing_target(
+                    ChannelRealization(channel), SymbolBlock(symbols))
                 block = target / np.linalg.norm(target)
-                want.append(montecarlo._rate_from_block(
-                    channel, unvec(block, cfg.n_antennas),
-                    symbols, 0.1))
-            assert montecarlo._zero_mui_rate_trials(cfg, 0.1, trials) == want
+                want.append(_rate(channel, unvec(block, cfg.n_antennas),
+                                  symbols, 0.1))
+            np.testing.assert_array_equal(
+                montecarlo._zero_mui_rate_trials(cfg, 0.1, trials), want)
 
     def test_sem_metadata_present(self):
         table = run_sumrate(_cfg(epsilon_grid=(0.5, 1.0), n_trials=5,
@@ -521,25 +527,25 @@ class TestStreamLayout:
         # base_seed at counter (t * B, purpose, 0, 0); 16 words each take
         # B = 4 blocks.  The zf-normalized draw is the raw one rescaled
         trials = range(4, 6)
-        raw = montecarlo._trial_instances(
+        raw = montecarlo._trial_draws(
             _cfg(base_seed=base_seed, snr_convention="raw"), trials)
-        normalized = montecarlo._trial_instances(
-            _cfg(base_seed=base_seed), trials)
-        for trial, (channel, symbols), (scaled, same) in zip(
-                trials, raw, normalized):
+        normalized = montecarlo._trial_draws(_cfg(base_seed=base_seed),
+                                             trials)
+        for trial, channel, symbols, scaled, same in zip(
+                trials, *raw, *normalized):
             words = [np.random.Philox(
                 key=base_seed, counter=(purpose << 64 | trial * 4) - 1)
                 .random_raw(16) for purpose in (1, 2)]
             np.testing.assert_array_equal(
-                channel.matrix,
+                channel,
                 montecarlo._complex_normals(words[0][None]).reshape(2, 4))
             np.testing.assert_array_equal(
-                symbols.symbols,
+                symbols,
                 constellation_points("qpsk")[words[1] >> 62].reshape(2, 8))
-            np.testing.assert_array_equal(same.symbols, symbols.symbols)
-            scale = np.linalg.norm(admm.zero_forcing_target(channel, symbols))
-            np.testing.assert_array_equal(scaled.matrix,
-                                          channel.matrix * scale)
+            np.testing.assert_array_equal(same, symbols)
+            scale = np.linalg.norm(admm.zero_forcing_target(
+                ChannelRealization(channel), SymbolBlock(symbols)))
+            np.testing.assert_array_equal(scaled, channel * scale)
 
 
 class TestSnrConventions:
@@ -747,6 +753,115 @@ class TestTrialStacks:
                 run += len(batch)
             assert sum(key[-1] == series for key in streams) == want
         assert len(streams) < run * len(table.axis_values)
+
+
+@st.composite
+def _chunk_cases(draw):
+    """A chunk of sweep trials for _solve_trials: its config, a grid of
+    one to four (epsilon, eta, rho) entries, the stop rule, a trial
+    range that does not start at 0 and a noise variance."""
+    cfg = _cfg(base_seed=draw(st.integers(0, 2 ** 64 - 1)),
+               constellation=draw(st.sampled_from(["qpsk", "16qam"])),
+               snr_convention=draw(st.sampled_from(
+                   montecarlo.SNR_CONVENTIONS)),
+               m_iter=draw(st.integers(1, 40)))
+    grid = draw(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                   st.sampled_from([1.0, 2.0, 8.0, 32.0]),
+                                   st.sampled_from([0.5, 1.0, 5.0])),
+                         min_size=1, max_size=4))
+    start = draw(st.integers(1, 50))
+    trials = range(start, start + draw(st.integers(1, 4)))
+    noise_variance = snr_noise_variance(draw(st.sampled_from([-5.0, 0.0,
+                                                              10.0, 20.0])))
+    return cfg, grid, draw(st.booleans()), trials, noise_variance
+
+
+def _per_row(cfg, grid, early_stop, trials):
+    """The per-row library path: each trial's (channel, symbols) and the
+    result of its design at each grid entry, from one solve."""
+    instances = [(ChannelRealization(h), SymbolBlock(s))
+                 for h, s in zip(*montecarlo._trial_draws(cfg, trials))]
+    reference = chirp_reference(cfg.n_antennas, cfg.n_samples)
+    results = iter(admm.solve([
+        admm.ProblemSpec(channel=channel, symbols=symbols,
+                         reference=reference, epsilon=epsilon, eta=eta,
+                         rho=rho, max_iterations=cfg.m_iter,
+                         rho_schedule="fixed", early_stop=early_stop)
+        for channel, symbols in instances for epsilon, eta, rho in grid]))
+    return [(channel, symbols, [next(results) for _ in grid])
+            for channel, symbols in instances]
+
+
+def _rate(channel, block, symbols, noise_variance):
+    """The mean per-user rate of one block over its channel alone."""
+    sinr = sinr_per_user(channel, block, symbols, noise_variance)
+    return np.mean(np.log2(1.0 + sinr))
+
+
+class TestChunkMeasures:
+    # each chunk measure equals the per-row library path bit for bit
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_chunk_cases())
+    def test_ccdf_paprs_are_each_blocks_papr(self, case):
+        cfg, grid, early_stop, trials, _ = case
+        got = montecarlo._solve_trials(cfg, grid, early_stop,
+                                       montecarlo._papr_db, trials)
+        want = [[kpi.papr_db(result.waveform.vec) for result in results]
+                for _, _, results in _per_row(cfg, grid, early_stop, trials)]
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_chunk_cases())
+    def test_sumrate_rates_are_each_instances_rate(self, case):
+        cfg, grid, early_stop, trials, noise_variance = case
+        got = montecarlo._solve_trials(
+            cfg, grid, early_stop, partial(montecarlo._rates, noise_variance),
+            trials)
+        rows = _per_row(cfg, grid, early_stop, trials)
+        want = [[_rate(channel, result.waveform, symbols, noise_variance)
+                 for result in results] for channel, symbols, results in rows]
+        np.testing.assert_array_equal(got, want)
+        # the zero-MUI rates are those of each trial's unit-energy
+        # zero-forcing block
+        zero = []
+        for channel, symbols, _ in rows:
+            target = admm.zero_forcing_target(channel, symbols)
+            zero.append(_rate(channel,
+                              unvec(target / np.linalg.norm(target),
+                                    cfg.n_antennas),
+                              symbols, noise_variance))
+        np.testing.assert_array_equal(
+            montecarlo._zero_mui_rate_trials(cfg, noise_variance, trials),
+            zero)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_chunk_cases())
+    def test_ser_received_blocks_are_each_designs_h_x(self, case):
+        cfg, grid, _, trials, noise_variance = case
+        cfg = replace(cfg, constellation="qpsk")
+        counted = []
+        real = montecarlo._ser_counts
+
+        def spy(*args):
+            counted.append(args)
+            return real(*args)
+
+        sigma2s = (noise_variance,)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_ser_counts", spy)
+            counts = montecarlo._ser_designed_trials(
+                cfg, *grid[0], sigma2s, np.array([True]), trials)
+        [(_, _, _, _, received, sent, series)] = counted
+        rows = _per_row(cfg, grid[:1], True, trials)
+        np.testing.assert_array_equal(
+            received, [channel.matrix @ result.waveform.entries
+                       for channel, _, [result] in rows])
+        np.testing.assert_array_equal(
+            sent, [symbols.symbols for _, symbols, _ in rows])
+        assert series == montecarlo._SERIES_DESIGNED
+        np.testing.assert_array_equal(counts, real(
+            cfg, sigma2s, np.array([True]), trials, received, sent, series))
 
 
 def _ser_counts_per_symbol(cfg, sigma2s, open_points, trials, received_clean,
