@@ -54,7 +54,14 @@ ball and the discs together: the x-update is the alternating sum of
 the first buffer plus rho times the sum of the second, the projection
 arguments are [u, v, w]/rho + [x, x - x0, x], the consensus gaps are
 [x, x - x0, x] - [alpha, beta, gamma], and one call ascends the three
-duals.  Its reference is the same iteration written as separate step
+duals.  The per-row weights rho, 2 + 3*rho and the disc cap eta/(N*L)
+are held full-width, as contiguous (T, 2*N*L) and (T, N*L) arrays of
+each row's value, or as floats while every row holds the same value:
+numpy applies either faster than a (T, 1) column it must broadcast
+along each row, to the same bits.  They are built at the start of each
+stretch and rebuilt only at a rho check that doubles some row's rho,
+and every phase writes into buffers allocated once per stretch.  The
+loop's reference is the same iteration written as separate step
 functions (x_update, alpha_update, beta_update, gamma_update and
 dual_updates), kept with the tests in tests/reference_admm.py, which
 hold gamma and w as per-sample (Re, Im) pairs: the loop keeps each of
@@ -261,6 +268,21 @@ def _per_row(value, trailing: int):
     if value.size == 1:
         return value.item()
     return value[(...,) + (None,) * trailing]
+
+
+def _full_width(value: np.ndarray, width: int):
+    """A (T,) per-row value as a contiguous (T, width) array, each row
+    its value repeated, or as a float when every row holds the same
+    value.
+
+    Either applies each row's value elementwise to a (T, width)
+    operand, so a product or quotient is bitwise that of a (T, 1)
+    column; numpy applies a float or an operand of the same shape
+    faster than it broadcasts the column along each row.
+    """
+    if np.all(value == value[0]):
+        return float(value[0])
+    return np.repeat(value[:, None], width, axis=1)
 
 
 def _row_norm(a: np.ndarray) -> np.ndarray:
@@ -614,47 +636,67 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
     gamma_pairs = pulls[3].reshape(n_rows, 2, n_total)
     # working buffers, their views taken once
     shape = (n_rows, width)
+    pull, weighted = np.empty(shape), np.empty(shape)
     compared = np.empty((3,) + shape)  # [x, x - x0, x]
     x_bar, x_less_0 = compared[0], compared[1]
     t = np.empty((3,) + shape)  # the three projection arguments
     t_sphere_ball, t_sphere, t_ball = t[:2], t[0], t[1]
     t_pairs = t[2].reshape(n_rows, 2, n_total)
+    norm = np.empty((2, n_rows))  # of the sphere and ball arguments
+    sphere_norm, ball_norm = norm[0], norm[1]
+    sphere_column = sphere_norm[:, None]
+    degenerate = np.empty(n_rows, dtype=bool)
+    ball_scale = np.empty(n_rows)
+    ball_column = ball_scale[:, None]
     squares = np.empty_like(t_pairs)
+    squares_re, squares_im = squares[:, 0], squares[:, 1]
+    disc_scale = np.empty((n_rows, n_total))
+    disc_column = disc_scale[:, None]
     # the gaps reuse t, spent once the projections are done; the PAPR
     # gap is squared into pair order, (Re, Im) per sample, for its sum
     gaps, gaps_sphere_ball, gaps_papr = t, t_sphere_ball, t_pairs
     papr_squares = np.empty(shape)
     papr_squares_slots = papr_squares.reshape(n_rows, n_total,
                                               2).transpose(0, 2, 1)
-    epsilon_row, cap = _per_row(epsilon, 0), _per_row(eta, 1) / n_total
+    epsilon_row = _per_row(epsilon, 0)
     # max(max(norm, epsilon), tiny) as max(norm, max(epsilon, tiny))
     ball_floor = np.maximum(epsilon_row, _TINY)
-    rho_row = _per_row(rho, 1)
+    # the disc cap eta/(N*L), rho and the x-update's 2 + 3*rho held
+    # full-width, so no phase broadcasts them as (T, 1) columns
+    cap = _full_width(eta / n_total, n_total)
+    rho_row = _full_width(rho, width)
     denominator = 2.0 + 3.0 * rho_row
     for m in range(start, len(history)):
         # each phase is one call over the sphere, the ball and the discs,
         # with every operand order of the reference step functions
-        np.divide(np.subtract.reduce(duals, 0)
-                  + rho_row * np.add.reduce(pulls, 0),
-                  denominator, out=x_bar)
+        np.subtract.reduce(duals, 0, out=pull)
+        np.add.reduce(pulls, 0, out=weighted)
+        weighted *= rho_row
+        pull += weighted
+        np.divide(pull, denominator, out=x_bar)
         np.subtract(x_bar, x_bar_0, out=x_less_0)
         compared[2] = x_bar
         np.divide(u_v_w, rho_row, out=t)
         t += compared
-        norm = np.sqrt(np.vecdot(t_sphere_ball, t_sphere_ball))
-        degenerate = norm[0] < 1e-12
+        np.vecdot(t_sphere_ball, t_sphere_ball, out=norm)
+        np.sqrt(norm, out=norm)
+        np.less(sphere_norm, 1e-12, out=degenerate)
         if not np.count_nonzero(degenerate):
-            np.divide(t_sphere, norm[0][:, None], out=alpha)
+            np.divide(t_sphere, sphere_column, out=alpha)
         else:
             # a zero argument keeps the previous alpha
             projected = t_sphere / np.where(degenerate, 1.0,
-                                            norm[0])[:, None]
+                                            sphere_norm)[:, None]
             alpha[...] = np.where(degenerate[:, None], alpha, projected)
-        divisor = np.maximum(norm[1], ball_floor)
-        np.multiply(t_ball, (epsilon_row / divisor)[:, None], out=beta)
+        np.maximum(ball_norm, ball_floor, out=ball_scale)
+        np.divide(epsilon_row, ball_scale, out=ball_scale)
+        np.multiply(t_ball, ball_column, out=beta)
         np.multiply(t_pairs, t_pairs, out=squares)
-        scale = np.sqrt(cap / np.maximum(squares[:, 0] + squares[:, 1], cap))
-        np.multiply(t_pairs, scale[:, None], out=gamma_pairs)
+        np.add(squares_re, squares_im, out=disc_scale)
+        np.maximum(disc_scale, cap, out=disc_scale)
+        np.divide(cap, disc_scale, out=disc_scale)
+        np.sqrt(disc_scale, out=disc_scale)
+        np.multiply(t_pairs, disc_column, out=gamma_pairs)
         np.subtract(compared, auxiliaries, out=gaps)
         row_norms = history[m].T
         np.vecdot(gaps_sphere_ball, gaps_sphere_ball, out=row_norms[:2])
@@ -683,8 +725,9 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
             double = (running & adaptive & (largest > _RHO_STALL_FLOOR)
                       & (largest > 0.5 * checked) & (rho < _RHO_MAX))
             np.copyto(rho, np.minimum(2.0 * rho, _RHO_MAX), where=double)
-            rho_row = _per_row(rho, 1)
-            denominator = 2.0 + 3.0 * rho_row
+            if double.any():
+                rho_row = _full_width(rho, width)
+                denominator = 2.0 + 3.0 * rho_row
             for j in np.flatnonzero(double):
                 trajectories[rows[j]].append((iteration, float(rho[j])))
             np.copyto(checked, largest, where=adaptive)

@@ -100,6 +100,21 @@ def papr_db(x) -> float:
     return float(10.0 * np.log10(papr(x)))
 
 
+def stacked_papr_db(x) -> np.ndarray:
+    """Block PAPR in dB of each signal on the last axis of a stack.
+
+    Each entry is bitwise the :func:`papr_db` of that signal alone: the
+    peak and the mean of its powers are reduced over the one contiguous
+    axis in the order a lone signal's are.  Raises ValueError if any
+    signal is all zero.
+    """
+    power = np.abs(_as_array(x)) ** 2
+    mean = power.mean(axis=-1)
+    if np.any(mean == 0):
+        raise ValueError("PAPR is undefined for an all-zero signal")
+    return 10.0 * np.log10(power.max(axis=-1) / mean)
+
+
 def similarity_distance(waveform, reference) -> float:
     """Euclidean distance ||x - x0||_2 between vectorized blocks."""
     x = np.ravel(_as_array(waveform), order="F")

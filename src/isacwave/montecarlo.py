@@ -110,9 +110,11 @@ _GAMMA_GRID_DB = np.linspace(0.0, 10.0, 201)
 # most rows (trials x grid points) designed as one solver stack.  A stack
 # amortises numpy's per-call overhead over its rows, and the cap bounds
 # the memory a sweep holds at once.  256 was chosen before the fused
-# iteration; on 4 x 16 blocks 64 rows now measure 7-15% cheaper per row
-# (3.3-3.8 against 3.9-4.1 us per row-iteration, ROADMAP item 5), so
-# the value awaits re-tuning there.
+# iteration.  With the full-width loop, 1,024 ccdf-shaped rows on 4 x 16
+# blocks (100 iterations, one pinned core of a 2-vCPU Xeon VM, median of
+# 11 interleaved rounds) take 3.4 us per row-iteration in 64-row stacks
+# against 4.1 us in 256-row stacks, so the value awaits re-tuning
+# (ROADMAP item 5).
 _CHUNK_ROWS = 256
 
 
@@ -484,7 +486,7 @@ def _papr_db(channels, symbols, blocks) -> np.ndarray:
     """The (T, G) PAPRs of a chunk's blocks, each of its column-major
     vec."""
     vecs = blocks.swapaxes(-1, -2).reshape(*blocks.shape[:2], -1)
-    return np.apply_along_axis(kpi.papr_db, -1, vecs)
+    return kpi.stacked_papr_db(vecs)
 
 
 def run_ccdf(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:

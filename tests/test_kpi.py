@@ -1,10 +1,14 @@
 """Figure-of-merit contracts and invariants."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from isacwave import kpi
+from isacwave import cli, kpi, montecarlo
 from isacwave import signal_model as sm
 
 
@@ -148,6 +152,69 @@ def test_papr_is_scale_invariant_and_bounded():
 def test_papr_rejects_all_zero_input():
     with pytest.raises(ValueError, match="all-zero"):
         kpi.papr(np.zeros(4))
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 values as their uint64 bit patterns."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _each_papr_db(vecs: np.ndarray) -> np.ndarray:
+    """kpi.papr_db of each signal on the last axis, one call each."""
+    return np.array([kpi.papr_db(vec) for vec in vecs.reshape(
+        -1, vecs.shape[-1])]).reshape(vecs.shape[:-1])
+
+
+@pytest.mark.parametrize("snr_convention", ["zf-normalized", "raw"])
+@pytest.mark.parametrize("constellation", ["qpsk", "16qam"])
+def test_stacked_papr_of_the_shipped_ccdf_blocks_is_each_blocks_bitwise(
+        constellation, snr_convention):
+    # the designed blocks of eight trials of the shipped sweep at every
+    # (rho, eta) point.  A CCDF rounds the PAPRs onto its grid and would
+    # not show a change in their last bits, so the bits are compared
+    shipped = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                          / "ccdf.json").read_text())["experiment"]
+    cfg = replace(
+        cli._experiment_config(cli._resolve_section("experiment", shipped)),
+        n_trials=8, constellation=constellation,
+        snr_convention=snr_convention)
+    grid = [(cfg.epsilon_grid[0], eta, rho)
+            for rho in cfg.rho_grid for eta in cfg.eta_grid]
+    blocks = montecarlo._solve_trials(
+        cfg, grid, False, lambda channels, symbols, blocks: blocks,
+        range(cfg.n_trials))
+    vecs = blocks.swapaxes(-1, -2).reshape(*blocks.shape[:2], -1)
+    want = _bits(_each_papr_db(vecs))
+    np.testing.assert_array_equal(_bits(kpi.stacked_papr_db(vecs)), want)
+    np.testing.assert_array_equal(
+        _bits(montecarlo._papr_db(None, None, blocks)), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       l=st.integers(1, 64),
+       stack=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e150]))
+@example(seed=0, n=4, l=64, stack=[3], scale=1.0)
+def test_stacked_papr_is_each_signals_bitwise(seed, n, l, stack, scale):
+    # N*L up to 384 samples: past 128 a sum is split in halves, and each
+    # signal's must still be split as it is alone
+    rng = np.random.default_rng(seed)
+    shape = (*stack, n * l)
+    vecs = scale * (rng.standard_normal(shape)
+                    + 1j * rng.standard_normal(shape))
+    # some signals with a single active sample, PAPR N*L exactly
+    vecs[..., :1, 1:] *= rng.integers(0, 2)
+    got = kpi.stacked_papr_db(vecs)
+    assert got.shape == tuple(stack)
+    np.testing.assert_array_equal(_bits(got), _bits(_each_papr_db(vecs)))
+
+
+def test_stacked_papr_rejects_a_stack_holding_an_all_zero_signal():
+    vecs = np.ones((3, 8), dtype=complex)
+    vecs[1] = 0.0
+    with pytest.raises(ValueError, match="all-zero"):
+        kpi.stacked_papr_db(vecs)
 
 
 def test_similarity_distance_basic_values():

@@ -8,14 +8,16 @@ iteration bitwise to a loop composed of the reference step functions
 (``reference_admm``).
 """
 
+import json
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from isacwave import admm, montecarlo
+from isacwave import admm, cli, montecarlo
 from isacwave.admm import ProblemSpec, solve, zero_forcing_target
 from isacwave.signal_model import (
     ChannelRealization,
@@ -502,3 +504,80 @@ def test_stack_must_share_shape_and_iteration_budget(change):
     ]
     with pytest.raises(ValueError, match="share"):
         solve(specs)
+
+
+def _shipped_ccdf_specs(grid_points, max_iterations):
+    """Eight trials of the shipped ccdf sweep, each designed at the given
+    (rho, eta) points of its grid with the sweep's fixed rho, as one
+    stack would hold them."""
+    shipped = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                          / "ccdf.json").read_text())
+    cfg = cli._experiment_config(
+        cli._resolve_section("experiment", shipped["experiment"]))
+    channels, symbols = montecarlo._trial_draws(cfg, range(8))
+    reference = chirp_reference(cfg.n_antennas, cfg.n_samples)
+    [epsilon] = cfg.epsilon_grid
+    return [ProblemSpec(channel=ChannelRealization(h), symbols=SymbolBlock(s),
+                        reference=reference, epsilon=epsilon,
+                        eta=cfg.eta_grid[j], rho=cfg.rho_grid[i],
+                        max_iterations=max_iterations, rho_schedule="fixed",
+                        early_stop=False)
+            for h, s in zip(channels, symbols) for i, j in grid_points]
+
+
+@pytest.mark.parametrize("grid_points", [
+    # rho {0.1, 1} x eta {0, 8.5 dB}: rho and the disc cap differ between
+    # rows, so the loop holds them as full rows
+    [(0, 0), (0, 1), (1, 0), (1, 1)],
+    # one grid point: every row shares rho and the cap, held as floats
+    [(1, 1)],
+], ids=["whole-grid", "one-point"])
+def test_the_kernel_is_the_step_functions_on_the_shipped_ccdf_grid(
+        grid_points):
+    # tolerance 0, at the rows, blocks and weights of the benchmarked
+    # ccdf request
+    _assert_is_the_step_function_loop(_shipped_ccdf_specs(grid_points, 120))
+
+
+@pytest.mark.parametrize("certifying_rho", [None, (0.5, 2.0)],
+                         ids=["shared-rho", "mixed-rho"])
+def test_full_width_weights_follow_their_rows_through_doublings_and_cuts(
+        solve_counting_cuts, monkeypatch, certifying_rho):
+    # the loop holds rho, 2 + 3 rho and the disc cap as full rows, or as
+    # floats while every row shares one value.  Adaptive rows double rho
+    # at the checks at 200, 300 and 400, fixed rows never do, and the
+    # zf-normalized rows at eta 3 stop certified by iteration 140, so
+    # that half the stack ends and the running rows move to a smaller
+    # one, whose rows then share rho and the cap until the next doubling
+    budget = dict(max_iterations=400)
+    adaptive = [_spec(4, 2, 16, seed, epsilon=epsilon, eta=1.5, rho=1.0,
+                      early_stop=False, rho_schedule="adaptive", **budget)
+                for seed, epsilon in ((1000, 0.5), (1002, 0.5), (1006, 0.5),
+                                      (1015, 0.5), (1017, 1.0))]
+    fixed = [_spec(4, 2, 16, seed, epsilon=0.5, eta=1.5, rho=1.0,
+                   early_stop=False, rho_schedule="fixed", **budget)
+             for seed in (1001, 1003)]
+    certifying = [_zf_spec(seed, epsilon=(1.5, 2.0)[seed % 2], eta=3.0,
+                           rho=(1.0 if certifying_rho is None
+                                else certifying_rho[seed % 2]), **budget)
+                  for seed in range(7)]
+    specs = [spec for pair in zip(certifying, adaptive + fixed)
+             for spec in pair]
+    alone = [solve(spec) for spec in specs]
+    assert ({r.rho_trajectory[1:] for r in alone[1::2]}
+            == {((200, 2.0),), ((300, 2.0),), ((200, 2.0), (300, 4.0)),
+                ((400, 2.0),), ((200, 2.0), (400, 4.0)), ()})
+    assert max(r.iterations_run for r in alone[::2]) <= 140
+    weights = []
+    full_width = admm._full_width
+
+    def recording_full_width(value, width):
+        weights.append(full_width(value, width))
+        return weights[-1]
+
+    monkeypatch.setattr(admm, "_full_width", recording_full_width)
+    stacked, cuts = solve_counting_cuts(specs)
+    assert cuts == [(14, 7)]
+    assert {type(w) for w in weights} == {float, np.ndarray}
+    for whole, single in zip(stacked, alone):
+        _assert_same(whole, single)
