@@ -87,12 +87,16 @@ def papr(x) -> float:
     The block PAPR of a waveform is the PAPR of its vectorized N*L
     samples.  Scale invariant; always in [1, number of samples].
     """
-    x = np.ravel(_as_array(x))
+    return float(_last_axis_papr(np.ravel(_as_array(x))))
+
+
+def _last_axis_papr(x: np.ndarray) -> np.ndarray:
+    """Linear PAPR of each signal on the last axis of ``x``."""
     power = np.abs(x) ** 2
-    mean = power.mean()
-    if mean == 0:
+    mean = power.mean(axis=-1)
+    if np.any(mean == 0):
         raise ValueError("PAPR is undefined for an all-zero signal")
-    return float(power.max() / mean)
+    return power.max(axis=-1) / mean
 
 
 def papr_db(x) -> float:
@@ -108,11 +112,7 @@ def stacked_papr_db(x) -> np.ndarray:
     axis in the order a lone signal's are.  Raises ValueError if any
     signal is all zero.
     """
-    power = np.abs(_as_array(x)) ** 2
-    mean = power.mean(axis=-1)
-    if np.any(mean == 0):
-        raise ValueError("PAPR is undefined for an all-zero signal")
-    return 10.0 * np.log10(power.max(axis=-1) / mean)
+    return 10.0 * np.log10(_last_axis_papr(_as_array(x)))
 
 
 def similarity_distance(waveform, reference) -> float:
