@@ -45,7 +45,11 @@ row leaves the stack once at most half of the stack's rows still run
 stack, which keeps a map to the caller's rows.  Until then an ended row
 is advanced with the others and its later values are never read.  The
 stack holds each row's residual norms from iteration 0 on, so a row's
-history moves with it when the stack is cut.
+history moves with it when the stack is cut.  The norms are diagnostics
+(Boyd et al., FnT ML 3(1), 2011, section 3.3) that only a recording row
+(ProblemSpec.record_history) returns, so an iteration computes them only
+while some running row records, or at a rho check, whose doubling rule
+reads that iteration's norms; skipping them changes no other value.
 
 The loop keeps its state splitting-major, in two (4, T, 2*N*L) buffers
 [2c, u, v, w] and [x0, alpha, beta, gamma], with w and gamma in the slot
@@ -178,7 +182,11 @@ class ProblemSpec:
     stays fixed or adapts to stalling residuals.  early_stop ends the
     solve once the design is feasible within feasibility_tolerance and
     certified optimal to a relative gap of 1e-8; without it the solve
-    runs max_iterations.
+    runs max_iterations.  record_history keeps the primal residual norms
+    of every iteration in the result; without it the result's
+    residual_history holds three empty arrays, every other field is
+    bitwise the same, and a stack whose running rows record nothing
+    computes the norms only at its rho checks.
     """
 
     channel: ChannelRealization
@@ -191,6 +199,7 @@ class ProblemSpec:
     feasibility_tolerance: float = 1e-3
     early_stop: bool = True
     rho_schedule: str = "adaptive"
+    record_history: bool = True
 
     def __post_init__(self) -> None:
         k, n = self.channel.k_users, self.channel.n_antennas
@@ -223,6 +232,8 @@ class ProblemSpec:
             raise ValueError("max_iterations must be an integer >= 1")
         if not isinstance(self.early_stop, (bool, np.bool_)):
             raise ValueError("early_stop must be a bool")
+        if not isinstance(self.record_history, (bool, np.bool_)):
+            raise ValueError("record_history must be a bool")
         if not (self.feasibility_tolerance > 0
                 and math.isfinite(self.feasibility_tolerance)):
             raise ValueError("feasibility_tolerance must be finite and > 0")
@@ -411,7 +422,9 @@ class SolveResult:
     the triangle inequality.  rho_trajectory lists the (iteration, rho)
     change points of the penalty weight: rho applies from that iteration
     (zero-based) on.  It starts with (0, spec.rho) and has no further
-    entry under the fixed schedule.
+    entry under the fixed schedule.  residual_history holds one norm per
+    iteration run in each series, or three empty arrays when the spec
+    did not record_history.
     """
 
     waveform: Waveform
@@ -458,10 +471,10 @@ def solve(
     empty sequence.  Both run :func:`_iterate`, a single spec as the
     stack of one.  The instances of a stack must share N, L and
     max_iterations; each keeps its own epsilon, eta, rho, rho_schedule,
-    feasibility_tolerance and early_stop, and its result does not depend
-    on the other rows.  Rows that hold the same channel and symbol
-    objects, as a ccdf trial's grid points do, share one zero-forcing
-    target.
+    feasibility_tolerance, early_stop and record_history, and its result
+    does not depend on the other rows.  Rows that hold the same channel
+    and symbol objects, as a ccdf trial's grid points do, share one
+    zero-forcing target.
 
     Each instance runs the splitting for max_iterations, or with
     early_stop until it is feasible and certified optimal (see the
@@ -486,6 +499,8 @@ class _Stack(NamedTuple):
     tolerance: np.ndarray
     early_stop: np.ndarray
     adaptive: np.ndarray
+    # whether the row's result keeps its residual history
+    record: np.ndarray
     rho: np.ndarray
     # the largest residual norm at the previous rho check
     checked: np.ndarray
@@ -496,7 +511,8 @@ class _Stack(NamedTuple):
     duals: np.ndarray  # [2c, u, v, w]
     pulls: np.ndarray  # [x0, alpha, beta, gamma]
     # per iteration, each row's energy, similarity and PAPR residual
-    # norms from iteration 0 on, so a row's history moves with it
+    # norms from iteration 0 on, so a row's history moves with it; an
+    # iteration no running row records holds them only at a rho check
     history: np.ndarray  # (max_iterations, T, 3)
 
     def keep(self, selected: np.ndarray) -> _Stack:
@@ -577,6 +593,7 @@ def _iterate(specs: list) -> list:
         tolerance=np.array([s.feasibility_tolerance for s in specs]),
         early_stop=np.array([s.early_stop for s in specs]),
         adaptive=np.array([s.rho_schedule == "adaptive" for s in specs]),
+        record=np.array([s.record_history for s in specs]),
         rho=np.array([s.rho for s in specs], dtype=float),
         checked=np.full(n_rows, np.inf),
         running=np.array([s.epsilon != 0 for s in specs]), duals=duals,
@@ -591,6 +608,7 @@ def _iterate(specs: list) -> list:
             x_bar_0, epsilon, eta)
         violations = _violations(x_bar, x_bar_0, epsilon, eta)
         history = stack.history[:iteration, ending]
+        record = stack.record[ending]
         for j, i in enumerate(stack.rows[ending]):
             results[i] = SolveResult(
                 waveform=Waveform(unvec(unlift(x_bar[j]), n_antennas)),
@@ -598,7 +616,9 @@ def _iterate(specs: list) -> list:
                 lower_bound=float(bound[j]),
                 constraint_violations=ConstraintViolations(
                     *map(float, violations[:, j])),
-                residual_history=ResidualHistory(*history[:, j].T.copy()),
+                residual_history=ResidualHistory(
+                    *(history[:, j].T.copy() if record[j]
+                      else np.empty((3, 0)))),
                 iterations_run=iteration,
                 rho_trajectory=tuple(trajectories[i]),
             )
@@ -619,14 +639,18 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
     at the budget's end, where every running row ends.  Within that last
     iteration the stop check comes first, then the rho check on the rows
     still running.  Each row's residual norms go to its row of the
-    stack's history, and its rho change points to its caller's entry of
-    ``trajectories``.  The stack's rho, checked, running, duals, pulls
-    and history are updated in place; :func:`_iterate` alone builds the
-    results and decides the cut.
+    stack's history, at every iteration while some running row records
+    and otherwise only at the rho checks, and its rho change points to
+    its caller's entry of ``trajectories``.  The stack's rho, checked,
+    running, duals, pulls and history are updated in place;
+    :func:`_iterate` alone builds the results and decides the cut.
     """
-    (rows, x_bar_comm, epsilon, eta, tolerance, early_stop, adaptive, rho,
-     checked, running, duals, pulls, history) = stack
+    (rows, x_bar_comm, epsilon, eta, tolerance, early_stop, adaptive,
+     record, rho, checked, running, duals, pulls, history) = stack
     entered = running.copy()
+    # a stretch ends where some row ends, so the running rows that record
+    # stay the same until its last iteration
+    recording = bool(np.count_nonzero(running & record))
     n_rows, width = duals.shape[1:]
     n_total = width // 2
     stops_early = bool(early_stop.any())
@@ -698,15 +722,17 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
         np.sqrt(disc_scale, out=disc_scale)
         np.multiply(t_pairs, disc_column, out=gamma_pairs)
         np.subtract(compared, auxiliaries, out=gaps)
-        row_norms = history[m].T
-        np.vecdot(gaps_sphere_ball, gaps_sphere_ball, out=row_norms[:2])
-        # the PAPR residual is summed in pair order
-        np.multiply(gaps_papr, gaps_papr, out=papr_squares_slots)
-        np.add.reduce(papr_squares, axis=-1, out=row_norms[2])
-        np.sqrt(row_norms, out=row_norms)
+        iteration = m + 1
+        rho_check = iteration % _RHO_CHECK_EVERY == 0
+        if recording or rho_check:
+            row_norms = history[m].T
+            np.vecdot(gaps_sphere_ball, gaps_sphere_ball, out=row_norms[:2])
+            # the PAPR residual is summed in pair order
+            np.multiply(gaps_papr, gaps_papr, out=papr_squares_slots)
+            np.add.reduce(papr_squares, axis=-1, out=row_norms[2])
+            np.sqrt(row_norms, out=row_norms)
         gaps *= rho_row
         u_v_w += gaps
-        iteration = m + 1
         ended = iteration == len(history)
         if stops_early and iteration % _STOP_CHECK_EVERY == 0:
             feasible = (running & early_stop
@@ -720,7 +746,7 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
                                       <= _CERTIFIED_GAP)
                 running &= ~stopped
                 ended = ended or stopped.any()
-        if iteration % _RHO_CHECK_EVERY == 0:
+        if rho_check:
             largest = np.max(row_norms, axis=0)
             double = (running & adaptive & (largest > _RHO_STALL_FLOOR)
                       & (largest > 0.5 * checked) & (rho < _RHO_MAX))

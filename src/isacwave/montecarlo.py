@@ -12,9 +12,12 @@ and designed blocks are stacked arrays, a measure maps them to one
 array of per-trial results, and the chunks' arrays are concatenated in
 trial order.  The rate and SER designs stop once feasible and
 certified optimal; the ccdf designs run the whole m_iter budget, since
-that experiment compares penalty weights at one budget.  Before it starts a worker pool, the parent
-imports numpy.random (numpy imports it on first use), so the forked
-workers inherit it instead of each importing it.
+that experiment compares penalty weights at one budget.  No sweep design
+records its residual history: a sweep reads only the designed blocks,
+so its stacks skip the per-iteration residual norms.  Before it starts
+a worker pool, the parent imports numpy.random (numpy imports it on
+first use), so the forked workers inherit it instead of each importing
+it.
 
 Every sweep draw comes from numpy's Philox4x64, a counter-based
 generator, keyed by base_seed (hence base_seed < 2**128).  Block b of
@@ -371,7 +374,8 @@ def _solve_trials(cfg: ExperimentConfig, grid, early_stop: bool, measure,
     Every design keeps its rho_grid entry as its penalty weight for the
     whole solve.  With ``early_stop`` a design ends once it is feasible
     and certified optimal; without it every design runs the m_iter
-    budget.  Returns ``measure(channels, symbols, blocks)`` of the
+    budget.  No design records its residual history, which no measure
+    reads.  Returns ``measure(channels, symbols, blocks)`` of the
     chunk's (T, K, N) channels, (T, K, L) symbols and (T, G, N, L)
     designed blocks, trial t's design at grid entry g at [t, g]: an
     array whose first axis holds the trials.
@@ -396,6 +400,7 @@ def _solve_trials(cfg: ExperimentConfig, grid, early_stop: bool, measure,
             # whole solve
             rho_schedule="fixed",
             early_stop=early_stop,
+            record_history=False,
         )
         for channel, block in instances
         for epsilon, eta, rho in grid

@@ -1045,6 +1045,30 @@ class TestCertifiedStopInSweeps:
             assert iterations == [m_iter] * len(iterations)
 
 
+@pytest.mark.parametrize("sweep", [run_ccdf, run_sumrate, run_ser],
+                         ids=["ccdf", "sumrate", "ser"])
+def test_sweep_designs_record_no_residual_history(monkeypatch, sweep):
+    # a sweep reads only the designed blocks, so none of its rows keeps
+    # the per-iteration residual norms
+    solved = []
+    real = montecarlo.solve
+
+    def spy(specs):
+        results = real(specs)
+        solved.extend(zip(specs, results))
+        return results
+
+    monkeypatch.setattr(montecarlo, "solve", spy)
+    sweep(_cfg(n_samples=16, eta_grid=(3.0,), epsilon_grid=(1.5,),
+               snr_grid_db=(0.0,), n_trials=6, m_iter=120))
+    assert solved
+    for spec, result in solved:
+        assert spec.record_history is False
+        assert result.iterations_run > 0
+        for field in ("energy", "similarity", "papr"):
+            assert getattr(result.residual_history, field).shape == (0,)
+
+
 class TestSerBatchSchedule:
     def test_the_first_batch_holds_16_trials_a_worker_and_at_least_32(self):
         errors = np.zeros(3, dtype=np.int64)

@@ -581,3 +581,86 @@ def test_full_width_weights_follow_their_rows_through_doublings_and_cuts(
     assert {type(w) for w in weights} == {float, np.ndarray}
     for whole, single in zip(stacked, alone):
         _assert_same(whole, single)
+
+
+def _assert_same_design(a, b):
+    """Every field of two results but the residual history, bitwise."""
+    np.testing.assert_array_equal(a.waveform.entries, b.waveform.entries)
+    assert a.iterations_run == b.iterations_run
+    assert a.rho_trajectory == b.rho_trajectory
+    assert a.objective == b.objective
+    assert a.lower_bound == b.lower_bound
+    assert a.constraint_violations == b.constraint_violations
+
+
+def _assert_no_history(result):
+    for field in ("energy", "similarity", "papr"):
+        assert getattr(result.residual_history, field).shape == (0,)
+
+
+_recorded_certifying = st.fixed_dictionaries({
+    "seed": st.integers(0, 10_000),
+    "epsilon": st.sampled_from((1.5, 2.0)),
+    "rho_schedule": st.sampled_from(("fixed", "adaptive")),
+    "record": st.booleans(),
+})
+# instances at eta 1.5 and epsilon 0.5 (1.0 for 1017) that stall: under
+# the adaptive schedule rho doubles at the check at 200 (1000, 1002 and
+# 1017) or 300 (1006 and 1015), and fixed rho stays
+_recorded_stalling = st.fixed_dictionaries({
+    "seed": st.sampled_from((1000, 1002, 1006, 1015, 1017)),
+    "rho_schedule": st.sampled_from(("fixed", "adaptive")),
+    "early_stop": st.booleans(),
+    "record": st.booleans(),
+})
+
+
+@settings(max_examples=30, deadline=None)
+@given(certifying=st.lists(_recorded_certifying, min_size=2, max_size=4),
+       stalling=st.lists(_recorded_stalling, min_size=1, max_size=2),
+       pinned=st.lists(st.booleans(), max_size=2),
+       max_iterations=st.integers(200, 320),
+       order=st.randoms(use_true_random=False))
+def test_rows_without_history_are_their_recorded_designs_bitwise(
+        solve_counting_cuts, certifying, stalling, pinned, max_iterations,
+        order):
+    # a row that records no history skips the residual norms except at
+    # the rho checks, whose doubling rule reads them; every other field
+    # is what the row gives when it records, alone, in a stack of rows
+    # that record nothing, and in a stack that mixes both.  zf-normalized
+    # rows at eta 3 certify at different checks, so the stack is cut
+    budget = dict(max_iterations=max_iterations)
+    specs = ([_zf_spec(row["seed"], epsilon=row["epsilon"], eta=3.0,
+                       rho_schedule=row["rho_schedule"],
+                       record_history=row["record"], **budget)
+              for row in certifying]
+             + [_spec(4, 2, 16, row["seed"],
+                      epsilon=1.0 if row["seed"] == 1017 else 0.5, eta=1.5,
+                      rho=1.0, rho_schedule=row["rho_schedule"],
+                      early_stop=row["early_stop"],
+                      record_history=row["record"], **budget)
+                for row in stalling]
+             + [_zf_spec(certifying[0]["seed"], epsilon=0.0, eta=3.0,
+                         record_history=record, **budget)
+                for record in pinned])
+    order.shuffle(specs)
+    recorded = [solve(replace(spec, record_history=True)) for spec in specs]
+    unrecorded = [solve(replace(spec, record_history=False))
+                  for spec in specs]
+    assume(2 * sum(r.iterations_run < max_iterations for r in recorded)
+           >= len(specs))
+    for on, off in zip(recorded, unrecorded):
+        _assert_same_design(off, on)
+        _assert_no_history(off)
+    mixed, cuts = solve_counting_cuts(specs)
+    assert cuts
+    for spec, whole, on in zip(specs, mixed, recorded):
+        if spec.record_history:
+            _assert_same(whole, on)
+        else:
+            _assert_same_design(whole, on)
+            _assert_no_history(whole)
+    silent = solve([replace(spec, record_history=False) for spec in specs])
+    for whole, on in zip(silent, recorded):
+        _assert_same_design(whole, on)
+        _assert_no_history(whole)

@@ -133,6 +133,17 @@ class TestProblemSpecValidation:
         result = solve(_spec(0, max_iterations=20, early_stop=np.bool_(False)))
         assert result.iterations_run == 20
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_non_bool_record_history_rejected(self, flag):
+        with pytest.raises(ValueError, match="record_history must be a bool"):
+            _spec(0, record_history=flag)
+
+    def test_numpy_bool_record_history_accepted(self):
+        result = solve(_spec(0, max_iterations=20,
+                             record_history=np.bool_(False)))
+        assert result.iterations_run == 20
+        assert result.residual_history.energy.shape == (0,)
+
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             _spec(0, feasibility_tolerance=0.0)
