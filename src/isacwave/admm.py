@@ -49,7 +49,9 @@ history moves with it when the stack is cut.  The norms are diagnostics
 (Boyd et al., FnT ML 3(1), 2011, section 3.3) that only a recording row
 (ProblemSpec.record_history) returns, so an iteration computes them only
 while some running row records, or at a rho check, whose doubling rule
-reads that iteration's norms; skipping them changes no other value.
+reads that iteration's norms; skipping them changes no other value.  A
+stack in which no row records holds no history at all: a rho check
+writes its norms into a buffer of the stretch.
 
 The loop keeps its state splitting-major, in two (4, T, 2*N*L) buffers
 [2c, u, v, w] and [x0, alpha, beta, gamma], with w and gamma in the slot
@@ -113,7 +115,6 @@ never closes runs its budget.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -126,6 +127,10 @@ from .signal_model import (
     ReferenceWaveform,
     SymbolBlock,
     Waveform,
+    _integer,
+    _nonnegative,
+    _one_of,
+    _positive,
     unlift,
     unvec,
 )
@@ -216,27 +221,17 @@ class ProblemSpec:
                 f"symbols span {self.symbols.n_samples} samples, "
                 f"reference spans {self.reference.n_samples}"
             )
-        if k > n:
-            raise ValueError(f"need k_users <= n_antennas, got K={k} > N={n}")
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be finite and >= 0")
+        _users_fit(k, n)
+        _nonnegative("epsilon", self.epsilon)
         if not 1.0 <= self.eta <= self.n_total:
             raise ValueError(f"eta must lie in [1, N*L] = [1, {self.n_total}]")
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ValueError("rho must be finite and > 0")
-        if self.rho_schedule not in RHO_SCHEDULES:
-            raise ValueError(f"rho_schedule must be one of {RHO_SCHEDULES}")
-        if (isinstance(self.max_iterations, bool)
-                or not isinstance(self.max_iterations, numbers.Integral)
-                or self.max_iterations < 1):
-            raise ValueError("max_iterations must be an integer >= 1")
-        if not isinstance(self.early_stop, (bool, np.bool_)):
-            raise ValueError("early_stop must be a bool")
-        if not isinstance(self.record_history, (bool, np.bool_)):
-            raise ValueError("record_history must be a bool")
-        if not (self.feasibility_tolerance > 0
-                and math.isfinite(self.feasibility_tolerance)):
-            raise ValueError("feasibility_tolerance must be finite and > 0")
+        _positive("rho", self.rho)
+        _one_of("rho_schedule", self.rho_schedule, RHO_SCHEDULES)
+        _integer("max_iterations", self.max_iterations)
+        for name in ("early_stop", "record_history"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool")
+        _positive("feasibility_tolerance", self.feasibility_tolerance)
         if (self.epsilon == 0 and kpi.papr(self.reference.vec)
                 > self.eta * (1.0 + _ETA_SLACK)):
             raise ValueError(
@@ -248,6 +243,13 @@ class ProblemSpec:
     def n_total(self) -> int:
         """Samples per block, N*L."""
         return self.reference.n_antennas * self.reference.n_samples
+
+
+def _users_fit(k_users: int, n_antennas: int) -> None:
+    """Reject more users than antennas: zero forcing needs K <= N."""
+    if k_users > n_antennas:
+        raise ValueError(f"need k_users <= n_antennas, got K={k_users} > "
+                         f"N={n_antennas}")
 
 
 def papr_cap(eta: float, n_total: int) -> float:
@@ -328,8 +330,7 @@ def _zero_forcing_targets(h: np.ndarray, s: np.ndarray) -> np.ndarray:
     SingularChannelError with the condition number of the first pair
     whose Gram matrix is singular or numerically unusable.
     """
-    if h.shape[-2] > h.shape[-1]:
-        raise ValueError("zero forcing needs k_users <= n_antennas")
+    _users_fit(*h.shape[-2:])
     if h.shape[-2] != s.shape[-2]:
         raise ValueError(f"channel serves {h.shape[-2]} users, symbols "
                          f"address {s.shape[-2]}")
@@ -512,8 +513,9 @@ class _Stack(NamedTuple):
     pulls: np.ndarray  # [x0, alpha, beta, gamma]
     # per iteration, each row's energy, similarity and PAPR residual
     # norms from iteration 0 on, so a row's history moves with it; an
-    # iteration no running row records holds them only at a rho check
-    history: np.ndarray  # (max_iterations, T, 3)
+    # iteration no running row records holds none, and a stack in which
+    # no row records holds no iteration
+    history: np.ndarray  # (max_iterations or 0, T, 3)
 
     def keep(self, selected: np.ndarray) -> _Stack:
         """The stack cut to the rows ``selected`` picks, in new arrays: a
@@ -576,7 +578,7 @@ def _iterate(specs: list) -> list:
         targets.update(zip(group, np.concatenate(
             (stacked.real, stacked.imag), axis=-1)))
     x_bar_comm = np.array([targets[key] for key in keys])
-    n_rows = len(specs)
+    n_rows, budget = len(specs), specs[0].max_iterations
     n_antennas, n_total = specs[0].reference.n_antennas, specs[0].n_total
     # in the caller's order: per row its rho change points and, once
     # ended, its result
@@ -597,7 +599,9 @@ def _iterate(specs: list) -> list:
         rho=np.array([s.rho for s in specs], dtype=float),
         checked=np.full(n_rows, np.inf),
         running=np.array([s.epsilon != 0 for s in specs]), duals=duals,
-        pulls=pulls, history=np.empty((specs[0].max_iterations, n_rows, 3)))
+        pulls=pulls,
+        history=np.empty((budget if any(s.record_history for s in specs)
+                          else 0, n_rows, 3)))
     # a pinned row ends at iteration 0, on the reference with zero duals
     iteration, ending, x_bar = 0, ~stack.running, pulls[0]
     while True:
@@ -627,23 +631,27 @@ def _iterate(specs: list) -> list:
         if (np.count_nonzero(stack.running)
                 <= _COMPACT_SHARE * stack.running.size):
             stack = stack.keep(stack.running)
-        iteration, ending, x_bar = _advance(stack, iteration, trajectories)
+        iteration, ending, x_bar = _advance(stack, iteration, budget,
+                                            trajectories)
 
 
-def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
-    """Iterate ``stack`` from iteration ``start`` until some row ends, and
-    return the iteration reached, the mask of the rows that ended there
-    and the iterates of the whole stack.
+def _advance(stack: _Stack, start: int, budget: int,
+             trajectories: list) -> tuple:
+    """Iterate ``stack`` from iteration ``start`` until some row ends, at
+    the latest at iteration ``budget``, and return the iteration reached,
+    the mask of the rows that ended there and the iterates of the whole
+    stack.
 
     A stretch ends at the first check where some row stops certified, or
     at the budget's end, where every running row ends.  Within that last
     iteration the stop check comes first, then the rho check on the rows
-    still running.  Each row's residual norms go to its row of the
-    stack's history, at every iteration while some running row records
-    and otherwise only at the rho checks, and its rho change points to
-    its caller's entry of ``trajectories``.  The stack's rho, checked,
-    running, duals, pulls and history are updated in place;
-    :func:`_iterate` alone builds the results and decides the cut.
+    still running.  While some running row records, each row's residual
+    norms go to its row of the stack's history at every iteration;
+    otherwise they are computed only at the rho checks, into a buffer of
+    the stretch.  Each row's rho change points go to its caller's entry
+    of ``trajectories``.  The stack's rho, checked, running, duals, pulls
+    and history are updated in place; :func:`_iterate` alone builds the
+    results and decides the cut.
     """
     (rows, x_bar_comm, epsilon, eta, tolerance, early_stop, adaptive,
      record, rho, checked, running, duals, pulls, history) = stack
@@ -682,6 +690,8 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
     papr_squares = np.empty(shape)
     papr_squares_slots = papr_squares.reshape(n_rows, n_total,
                                               2).transpose(0, 2, 1)
+    # a rho check's norms while no running row records
+    check_norms = np.empty((3, n_rows))
     epsilon_row = _per_row(epsilon, 0)
     # max(max(norm, epsilon), tiny) as max(norm, max(epsilon, tiny))
     ball_floor = np.maximum(epsilon_row, _TINY)
@@ -690,7 +700,7 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
     cap = _full_width(eta / n_total, n_total)
     rho_row = _full_width(rho, width)
     denominator = 2.0 + 3.0 * rho_row
-    for m in range(start, len(history)):
+    for m in range(start, budget):
         # each phase is one call over the sphere, the ball and the discs,
         # with every operand order of the reference step functions
         np.subtract.reduce(duals, 0, out=pull)
@@ -725,7 +735,7 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
         iteration = m + 1
         rho_check = iteration % _RHO_CHECK_EVERY == 0
         if recording or rho_check:
-            row_norms = history[m].T
+            row_norms = history[m].T if recording else check_norms
             np.vecdot(gaps_sphere_ball, gaps_sphere_ball, out=row_norms[:2])
             # the PAPR residual is summed in pair order
             np.multiply(gaps_papr, gaps_papr, out=papr_squares_slots)
@@ -733,7 +743,7 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
             np.sqrt(row_norms, out=row_norms)
         gaps *= rho_row
         u_v_w += gaps
-        ended = iteration == len(history)
+        ended = iteration == budget
         if stops_early and iteration % _STOP_CHECK_EVERY == 0:
             feasible = (running & early_stop
                         & np.all(_violations(x_bar, x_bar_0, epsilon, eta)
@@ -760,5 +770,5 @@ def _advance(stack: _Stack, start: int, trajectories: list) -> tuple:
         if ended:
             break
     # at the budget's end every running row ends
-    running &= iteration < len(history)
+    running &= iteration < budget
     return iteration, entered & ~running, x_bar

@@ -53,7 +53,7 @@ from .montecarlo import (
     run_ser,
     run_sumrate,
 )
-from .signal_model import chirp_reference, snr_noise_variance
+from .signal_model import _db_to_linear, chirp_reference, snr_noise_variance
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -167,13 +167,6 @@ def _resolve_section(section: str, raw: dict) -> dict:
         raise ConfigError(section, "give exactly one of eta (linear) "
                                    "or eta_db")
     return resolved
-
-
-def _db_to_linear(value_db: float) -> float:
-    try:
-        return 10.0 ** (value_db / 10.0)
-    except OverflowError:
-        return math.inf
 
 
 def _linear_caps(section_cfg: dict):
@@ -331,21 +324,17 @@ def cmd_design(cfg: dict, out_dir: str):
     return (EXIT_OK if feasible else EXIT_INFEASIBLE), paths
 
 
+# the experiment keys that name their ExperimentConfig field differently;
+# eta or eta_db gives eta_grid through _linear_caps, and every other key
+# is its field's name
+_GRID_FIELDS = {"rho": "rho_grid", "epsilon": "epsilon_grid",
+                "snr_db": "snr_grid_db"}
+
+
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        n_antennas=cfg["n_antennas"],
-        k_users=cfg["k_users"],
-        n_samples=cfg["n_samples"],
-        rho_grid=tuple(cfg["rho"]),
-        eta_grid=tuple(_linear_caps(cfg)),
-        epsilon_grid=tuple(cfg["epsilon"]),
-        snr_grid_db=tuple(cfg["snr_db"]),
-        n_trials=cfg["n_trials"],
-        base_seed=cfg["base_seed"],
-        constellation=cfg["constellation"],
-        m_iter=cfg["m_iter"],
-        snr_convention=cfg["snr_convention"],
-    )
+    fields = {_GRID_FIELDS.get(key, key): value for key, value in cfg.items()
+              if key not in ("eta", "eta_db")}
+    return ExperimentConfig(eta_grid=_linear_caps(cfg), **fields)
 
 
 _RUNNERS = {"ccdf": run_ccdf, "sumrate": run_sumrate, "ser": run_ser}

@@ -14,10 +14,10 @@ trial order.  The rate and SER designs stop once feasible and
 certified optimal; the ccdf designs run the whole m_iter budget, since
 that experiment compares penalty weights at one budget.  No sweep design
 records its residual history: a sweep reads only the designed blocks,
-so its stacks skip the per-iteration residual norms.  Before it starts
-a worker pool, the parent imports numpy.random (numpy imports it on
-first use), so the forked workers inherit it instead of each importing
-it.
+so its stacks skip the per-iteration residual norms and hold none.
+Before it starts a worker pool, the parent imports numpy.random (numpy
+imports it on first use), so the forked workers inherit it instead of
+each importing it.
 
 Every sweep draw comes from numpy's Philox4x64, a counter-based
 generator, keyed by base_seed (hence base_seed < 2**128).  Block b of
@@ -73,7 +73,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -81,10 +80,21 @@ from functools import partial
 import numpy as np
 
 from . import __version__, kpi
-from .admm import ProblemSpec, _zero_forcing_targets, papr_cap, solve
+from .admm import (
+    ProblemSpec,
+    _users_fit,
+    _zero_forcing_targets,
+    papr_cap,
+    solve,
+)
 from .signal_model import (
     ChannelRealization,
     SymbolBlock,
+    _db_to_linear,
+    _integer,
+    _nonnegative,
+    _one_of,
+    _positive,
     chirp_reference,
     constellation_points,
     draw_channel,
@@ -155,32 +165,22 @@ class ExperimentConfig:
         for name, least in (("n_antennas", 1), ("k_users", 1),
                             ("n_samples", 1), ("n_trials", 1), ("m_iter", 1),
                             ("base_seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)
-                    or value < least):
-                raise ValueError(f"{name} must be an integer >= {least}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name), least))
         if self.base_seed >= 2 ** _SEED_BITS:
             raise ValueError(f"base_seed must be < 2**{_SEED_BITS}, the "
                              "width of the Philox key it becomes")
-        if self.k_users > self.n_antennas:
-            raise ValueError(
-                f"need k_users <= n_antennas, got K={self.k_users} > "
-                f"N={self.n_antennas}"
-            )
+        _users_fit(self.k_users, self.n_antennas)
         for name in ("rho_grid", "eta_grid", "epsilon_grid",
                      "snr_grid_db"):
             grid = tuple(float(g) for g in getattr(self, name))
             if not grid:
                 raise ValueError(f"{name} must be nonempty")
-            if not all(map(math.isfinite, grid)):
-                raise ValueError(f"{name} entries must be finite")
             object.__setattr__(self, name, grid)
-        if not all(r > 0 for r in self.rho_grid):
-            raise ValueError("rho_grid entries must be finite and > 0")
-        if not all(e >= 0 for e in self.epsilon_grid):
-            raise ValueError("epsilon_grid entries must be finite and >= 0")
+        for rho in self.rho_grid:
+            _positive("rho_grid entries", rho)
+        for epsilon in self.epsilon_grid:
+            _nonnegative("epsilon_grid entries", epsilon)
         n_total = self.n_antennas * self.n_samples
         object.__setattr__(self, "eta_grid", tuple(
             papr_cap(eta, n_total) for eta in self.eta_grid))
@@ -188,10 +188,7 @@ class ExperimentConfig:
             snr_noise_variance(snr_db)
         constellation_points(self.constellation)  # rejects unknown names
         object.__setattr__(self, "constellation", self.constellation.lower())
-        if self.snr_convention not in SNR_CONVENTIONS:
-            raise ValueError(
-                f"snr_convention must be one of {SNR_CONVENTIONS}"
-            )
+        _one_of("snr_convention", self.snr_convention, SNR_CONVENTIONS)
 
     def as_dict(self) -> dict:
         plain = asdict(self)
@@ -342,8 +339,7 @@ def draw_instance(n_antennas: int, k_users: int, n_samples: int,
     unit energy; the rescale factor is determined by the draw itself,
     keeping the stream layout identical across conventions.
     """
-    if snr_convention not in SNR_CONVENTIONS:
-        raise ValueError(f"snr_convention must be one of {SNR_CONVENTIONS}")
+    _one_of("snr_convention", snr_convention, SNR_CONVENTIONS)
     channel = draw_channel(k_users, n_antennas, rng_seed=channel_seed)
     symbols = draw_symbols(k_users, n_samples, constellation,
                            rng_seed=symbol_seed)
@@ -410,15 +406,6 @@ def _solve_trials(cfg: ExperimentConfig, grid, early_stop: bool, measure,
     return measure(channels, symbols, blocks)
 
 
-def _worker_count(threads) -> int:
-    """``threads`` as an int, rejecting a value that is not an integer
-    >= 1 or is a bool."""
-    if (isinstance(threads, bool) or not isinstance(threads, numbers.Integral)
-            or threads < 1):
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    return int(threads)
-
-
 def _map_trials(fn, trials: range, threads: int,
                 grid_size: int = 1) -> np.ndarray:
     """The arrays of ``fn``, which maps a chunk of trial indices to an
@@ -431,7 +418,7 @@ def _map_trials(fn, trials: range, threads: int,
     workers than there are chunks.  The result does not depend on the
     chunking.
     """
-    threads = _worker_count(threads)
+    threads = _integer("threads", threads)
     size = max(1, min(_CHUNK_ROWS // grid_size,
                       math.ceil(len(trials) / threads)))
     chunks = [trials[i:i + size] for i in range(0, len(trials), size)]
@@ -577,7 +564,7 @@ def run_sumrate(cfg: ExperimentConfig, threads: int = 1) -> CurveTable:
     series["zero_mui"] = np.full(axis.size, float(np.mean(zero_trials)))
     sems["zero_mui"] = [_sem(zero_trials)] * axis.size
     series["awgn_capacity"] = np.full(
-        axis.size, kpi.awgn_capacity_per_user(10.0 ** (snr_db / 10.0)))
+        axis.size, kpi.awgn_capacity_per_user(_db_to_linear(snr_db)))
     sems["awgn_capacity"] = [0.0] * axis.size
     return CurveTable(
         axis_name="epsilon",
@@ -686,7 +673,7 @@ def _accumulate_ser(chunk_fn, n_points: int, symbols_per_trial: int,
     does not depend on its neighbours, so the batch sizes decide only
     how many rows are discarded, never the result.
     """
-    workers = _worker_count(threads)
+    workers = _integer("threads", threads)
     errors = np.zeros(n_points, dtype=np.int64)
     trials = np.zeros(n_points, dtype=np.int64)
     cap = math.ceil(_MAX_SYMBOLS / symbols_per_trial)

@@ -17,6 +17,7 @@ blocks carry unit total energy ||X0||_F = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,56 @@ _CONSTELLATIONS = {
     )
     / np.sqrt(10.0),
 }
+
+
+# --- argument rules, shared by every object that takes the argument -------
+
+
+def _integer(name: str, value, least: int = 1) -> int:
+    """``value`` as an int, rejecting a bool and any value that is not
+    an integer >= ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return int(value)
+
+
+def _positive(name: str, value) -> None:
+    """Reject a ``value`` that is not finite and > 0."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0")
+
+
+def _nonnegative(name: str, value) -> None:
+    """Reject a ``value`` that is not finite and >= 0."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
+def _one_of(name: str, value, choices: tuple) -> None:
+    """Reject a ``value`` that is not one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}")
+
+
+def _finite_matrix(name: str, value, axes: str) -> np.ndarray:
+    """``value`` as a complex array, rejecting one that is not 2-D, with
+    ``axes`` naming its two axes, or not finite."""
+    matrix = np.asarray(value, dtype=complex)
+    if matrix.ndim != 2:
+        raise ValueError(f"{name} must be 2-D ({axes})")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{name} must be finite")
+    return matrix
+
+
+def _db_to_linear(value_db: float) -> float:
+    """10^(value_db/10), or inf where that overflows a float."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def constellation_points(name: str) -> np.ndarray:
@@ -59,12 +110,8 @@ class ChannelRealization:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError("channel matrix must be 2-D (users x antennas)")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("channel matrix must be finite")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _finite_matrix(
+            "channel matrix", self.matrix, "users x antennas"))
 
     @property
     def k_users(self) -> int:
@@ -81,11 +128,7 @@ def snr_noise_variance(snr_db: float) -> float:
     An snr_db whose linear SNR or noise variance is 0 or not finite is
     rejected, so no caller meets an overflow or a zero-noise link.
     """
-    try:
-        snr = 10.0 ** (snr_db / 10.0)
-        noise_variance = 10.0 ** (-snr_db / 10.0)
-    except OverflowError:
-        snr = noise_variance = math.inf
+    snr, noise_variance = _db_to_linear(snr_db), _db_to_linear(-snr_db)
     if not (0.0 < snr < math.inf and 0.0 < noise_variance < math.inf):
         raise ValueError(
             f"snr_db = {snr_db:g} dB must give a linear SNR and a noise "
@@ -120,12 +163,8 @@ class SymbolBlock:
     symbols: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.symbols, dtype=complex)
-        if s.ndim != 2:
-            raise ValueError("symbols must be 2-D (users x samples)")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("symbols must be finite")
-        object.__setattr__(self, "symbols", s)
+        object.__setattr__(self, "symbols", _finite_matrix(
+            "symbols", self.symbols, "users x samples"))
 
     @property
     def k_users(self) -> int:
@@ -162,12 +201,8 @@ class Waveform:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=complex)
-        if e.ndim != 2:
-            raise ValueError("waveform entries must be 2-D (antennas x samples)")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("waveform entries must be finite")
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _finite_matrix(
+            "waveform entries", self.entries, "antennas x samples"))
 
     @property
     def n_antennas(self) -> int:

@@ -1,5 +1,6 @@
 """CLI contract tests: config resolution, exit codes, output files."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -282,6 +283,19 @@ class TestConfigValidation:
 
 # what the installed console script runs
 _SCRIPT = "import sys; from isacwave.cli import main; sys.exit(main())"
+
+
+def test_every_experiment_key_reaches_its_config_field():
+    # every schema key but the PAPR cap's names an ExperimentConfig field,
+    # directly or through the renamed grids, and eta or eta_db gives
+    # eta_grid, so every field is reachable from the schema
+    fields = {field.name
+              for field in dataclasses.fields(montecarlo.ExperimentConfig)}
+    keys = set(cli._EXPERIMENT_FIELDS) - {"eta", "eta_db"}
+    assert set(cli._GRID_FIELDS) <= keys
+    reached = {cli._GRID_FIELDS.get(key, key) for key in keys}
+    assert reached <= fields
+    assert reached | {"eta_grid"} == fields
 
 
 class TestCommandLine:

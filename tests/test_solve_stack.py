@@ -9,6 +9,7 @@ iteration bitwise to a loop composed of the reference step functions
 """
 
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -664,3 +665,26 @@ def test_rows_without_history_are_their_recorded_designs_bitwise(
     for whole, on in zip(silent, recorded):
         _assert_same_design(whole, on)
         _assert_no_history(whole)
+
+
+def test_a_stack_in_which_no_row_records_holds_no_history():
+    # 64 zf-normalized rows at eta 1.25, epsilon 1.5 and fixed rho 5 all
+    # certify by iteration 130 of a 20,000-iteration budget; a history
+    # buffer sized to the budget would take 64 x 20,000 x 3 doubles
+    # (30.7 MB), copied again at each cut
+    specs = [_zf_spec(seed, epsilon=1.5, eta=1.25, rho=5.0,
+                      rho_schedule="fixed", max_iterations=20_000,
+                      record_history=False)
+             for seed in range(64)]
+    tracemalloc.start()
+    try:
+        silent = solve(specs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert max(r.iterations_run for r in silent) <= 130
+    recorded = solve([replace(spec, record_history=True) for spec in specs])
+    for off, on in zip(silent, recorded):
+        _assert_same_design(off, on)
+        _assert_no_history(off)
